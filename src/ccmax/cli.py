@@ -108,7 +108,8 @@ def _cmd_sdp(args) -> int:
 def _cmd_solve(args) -> int:
     inst = parse_instance(Path(args.input).read_text(encoding="utf-8"))
     small = inst.n <= _BRUTE_SEED_MAX_N
-    sol = sdp.solve_instance(inst, _solve_options(args), use_brute_force_seed=small)
+    opt_a, opt = brute_force_opt(inst) if small else (None, None)
+    sol = sdp.solve_instance(inst, _solve_options(args), integral_seed=opt_a)
     report = rounding.round_best_of(sol, inst, rounds=args.rounds, seed=args.seed)
     kv: list[tuple[str, str]] = [
         ("sdp_objective", _fmt(sol.objective_value)),
@@ -125,7 +126,6 @@ def _cmd_solve(args) -> int:
         ("repair_flips", ",".join(str(f) for f in report.repair_flips)),
     ]
     if small:
-        _, opt = brute_force_opt(inst)
         kv.append(("brute_force_optval", _fmt(opt)))
         kv.append(("realized_ratio", _fmt(report.best_value / opt if opt > 0 else 1.0)))
     for key, val in kv:
@@ -196,9 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cardinality-constrained Max-2-CSP toolkit: ratio curves, "
                     "relaxation + rounding solver, reduction gadgets.")
     parser.add_argument("--version", action="version", version=f"ccmax {__version__}")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint; the current implementation is serial and "
-                             "deterministic for any value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gamma", help="bivariate orthant probability")

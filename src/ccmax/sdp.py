@@ -21,13 +21,25 @@ iterate over restarts; the attained value is a lower bound on the true
 relaxation optimum, not a certificate.  One restart is always seeded
 from the best known integral assignment, so the attained value also
 dominates that assignment's objective.
+
+Everything constant is built once per problem (`_Operators`): the
+objective part of dLoss/dGram, the balance pattern, and the flat Gram
+indices of the objective terms and of each triangle pair's (mu_i, mu_j,
+rho_ij) and their transposes.  One iteration then costs one Gram
+product G = V V^T of the candidate, from which the objective, balance
+residual and triangle forms are read by index; one np.bincount scatter
+of the triangle multipliers into dLoss/dGram; and one product M V for
+the gradient.  Loss, feasibility and stop tests are scalar arithmetic
+on cached values, so the work per step is O(n^2 dim + #pairs) in a
+fixed, small number of numpy calls.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -36,6 +48,9 @@ from .errors import DomainError
 from .instance import CCInstance, Xor, as_assignment, greedy_assignment
 
 check_triangle = triangle_violation
+
+# the four triangle forms as sign rows on (mu_i, mu_j, rho_ij)
+_TRI_SIGNS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -148,7 +163,8 @@ def residuals_from_vectors(problem: SDPProblem, vectors: np.ndarray) -> dict[str
 
 
 def _normalize_rows(V: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(V, axis=1, keepdims=True)
+    # np.linalg.norm(V, axis=1, keepdims=True) without its dispatch cost
+    norms = np.sqrt(np.add.reduce(V * V, axis=1, keepdims=True))
     norms[norms == 0.0] = 1.0
     return V / norms
 
@@ -222,6 +238,72 @@ def _greedy_pm1(problem: SDPProblem, rng: np.random.Generator) -> np.ndarray:
     return x
 
 
+class _Pieces(NamedTuple):
+    """Loss terms of one iterate, computed once for the loss, feasibility and stop checks."""
+
+    obj: float
+    h: float  # balance residual sum(mu) - target (0 without balance)
+    viol_max: float
+    viol_sq: float  # sum of squared triangle violations
+    viol: np.ndarray  # (#pairs, 4) violation of each triangle form
+
+
+class _Operators:
+    """Constants of the solver loop for one problem, built once.
+
+    Flat indices address the row-major (n+1) x (n+1) Gram matrix
+    G = V V^T.  dLoss/dG is the constant objective part `M_obj`, plus
+    the balance pattern `B` scaled by (lam + sigma_bal h), plus the
+    triangle multipliers scattered onto the entries of (mu_i, mu_j,
+    rho_ij) and their transposes.
+    """
+
+    def __init__(self, problem: SDPProblem):
+        size = problem.n + 1
+        self.size = size
+        self.offset = problem.offset
+        self.target = problem.balance_target
+        obj_p = np.array([p for p, _, _ in problem.objective], dtype=np.int64)
+        obj_q = np.array([q for _, q, _ in problem.objective], dtype=np.int64)
+        self.obj_c = np.array([c for _, _, c in problem.objective])
+        self.obj_idx = obj_p * size + obj_q
+        self.M_obj = np.zeros((size, size))
+        np.add.at(self.M_obj, (obj_p, obj_q), -self.obj_c / 2)
+        np.add.at(self.M_obj, (obj_q, obj_p), -self.obj_c / 2)
+        self.B: np.ndarray | None = None
+        if self.target is not None:
+            self.B = np.zeros((size, size))
+            self.B[0, 1:] = self.B[1:, 0] = 0.5
+        tri = np.array(problem.triangle_pairs, dtype=np.int64).reshape(-1, 2)
+        i, j = tri[:, 0], tri[:, 1]
+        # G[0, i], G[0, j], G[i, j] per pair, then the transposed entries
+        self.tri_idx = np.stack([i, j, i * size + j], axis=1)
+        self.scatter_idx = np.concatenate(
+            [self.tri_idx.ravel(), np.stack([i * size, j * size, j * size + i], axis=1).ravel()])
+
+    def pieces(self, V: np.ndarray) -> _Pieces:
+        g = (V @ V.T).ravel()
+        obj = self.offset + float(self.obj_c @ g[self.obj_idx])
+        h = float(g[1:self.size].sum()) - self.target if self.target is not None else 0.0
+        if not self.tri_idx.size:
+            return _Pieces(obj, h, 0.0, 0.0, np.zeros((0, 4)))
+        viol = np.maximum(0.0, -1.0 - g[self.tri_idx] @ _TRI_SIGNS.T)
+        return _Pieces(obj, h, float(viol.max()), float((viol * viol).sum()), viol)
+
+    def dloss_dgram(self, lam: float, sigma_bal: float, sigma_tri: float,
+                    cur: _Pieces) -> np.ndarray:
+        """Symmetric M with d(loss)/dV = 2 M V."""
+        M = self.M_obj
+        if self.B is not None:
+            M = M + (lam + sigma_bal * cur.h) * self.B
+        if cur.viol.size:
+            # d/dG of 0.5*sigma*sum v^2 = -sigma * v * dform/dG
+            half = 0.5 * ((-sigma_tri * cur.viol) @ _TRI_SIGNS).ravel()
+            M = M + np.bincount(self.scatter_idx, weights=np.concatenate([half, half]),
+                                minlength=self.size * self.size).reshape(self.size, self.size)
+        return M
+
+
 def solve(
     problem: SDPProblem,
     opts: SolveOptions | None = None,
@@ -245,13 +327,7 @@ def solve(
         integral_seed = as_assignment(integral_seed, problem.n)
 
     n, dim = problem.n, problem.dim
-    tri = np.array(problem.triangle_pairs, dtype=np.int64).reshape(-1, 2)
-    obj_p = np.array([p for p, _, _ in problem.objective], dtype=np.int64)
-    obj_q = np.array([q for _, q, _ in problem.objective], dtype=np.int64)
-    obj_c = np.array([c for _, _, c in problem.objective])
-
-    # four triangle forms as sign rows on (mu_i, mu_j, rho_ij)
-    tri_signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
+    ops = _Operators(problem)
 
     best: tuple[int, float, float, np.ndarray, bool] | None = None
     # ordering key: feasible first, then objective, ties by restart index
@@ -274,86 +350,47 @@ def solve(
         stall = 0
         last_resid = math.inf
         converged = False
-        obj_window: list[float] = []
+        obj_window: deque[float] = deque(maxlen=200)
 
-        def pieces(Vc: np.ndarray):
-            v0 = Vc[0]
-            mu = Vc[1:] @ v0
-            gram_obj = np.einsum("ij,ij->i", Vc[obj_p], Vc[obj_q])
-            obj = problem.offset + float(obj_c @ gram_obj)
-            h = (float(np.sum(mu)) - problem.balance_target
-                 if problem.balance_target is not None else 0.0)
-            if tri.size:
-                mu_i = mu[tri[:, 0] - 1]
-                mu_j = mu[tri[:, 1] - 1]
-                rho_ij = np.einsum("ij,ij->i", Vc[tri[:, 0]], Vc[tri[:, 1]])
-                forms = (np.stack([mu_i, mu_j, rho_ij], axis=1) @ tri_signs.T)
-                viol = np.maximum(0.0, -1.0 - forms)  # (#pairs, 4)
-            else:
-                viol = np.zeros((0, 4))
-            return mu, obj, h, viol
+        def loss_of(pc: _Pieces) -> float:
+            return (-pc.obj + lam * pc.h + 0.5 * sigma_bal * pc.h * pc.h
+                    + 0.5 * sigma_tri * pc.viol_sq)
 
-        def loss_of(mu, obj, h, viol):
-            return (-obj + lam * h + 0.5 * sigma_bal * h * h
-                    + 0.5 * sigma_tri * float(np.sum(viol * viol)))
+        def feasible_to_tol(pc: _Pieces) -> bool:
+            return abs(pc.h) <= opts.tol and pc.viol_max <= opts.tol
 
         snap_obj = -math.inf
         snap_V: np.ndarray | None = None
 
-        def consider(Vc, obj_c, h_c, viol_c):
+        def consider(Vc: np.ndarray, pc: _Pieces) -> None:
             nonlocal snap_obj, snap_V
-            feas = (abs(h_c) <= opts.tol
-                    and (float(np.max(viol_c)) if viol_c.size else 0.0) <= opts.tol)
-            if feas and obj_c > snap_obj:
-                snap_obj = obj_c
+            if feasible_to_tol(pc) and pc.obj > snap_obj:
+                snap_obj = pc.obj
                 snap_V = Vc.copy()
 
         if V_exact is not None:
-            _, obj_e, h_e, viol_e = pieces(V_exact)
-            consider(V_exact, obj_e, h_e, viol_e)
+            consider(V_exact, ops.pieces(V_exact))
 
-        mu, obj, h, viol = pieces(V)
-        consider(V, obj, h, viol)
+        cur = ops.pieces(V)
+        consider(V, cur)
         for it in range(opts.max_iters):
-            # assemble d(loss)/dGram as a symmetric matrix M; grad = 2 M V
-            M = np.zeros((n + 1, n + 1))
-            np.add.at(M, (obj_p, obj_q), -obj_c / 2)
-            np.add.at(M, (obj_q, obj_p), -obj_c / 2)
-            if problem.balance_target is not None:
-                coeff = (lam + sigma_bal * h) / 2
-                M[0, 1:] += coeff
-                M[1:, 0] += coeff
-            if tri.size:
-                # d/dG of 0.5*sigma*sum v^2 = -sigma * v * dform/dG
-                w4 = -sigma_tri * viol  # (#pairs, 4)
-                cmu_i = w4 @ tri_signs[:, 0]
-                cmu_j = w4 @ tri_signs[:, 1]
-                crho = w4 @ tri_signs[:, 2]
-                np.add.at(M, (np.zeros_like(tri[:, 0]), tri[:, 0]), cmu_i / 2)
-                np.add.at(M, (tri[:, 0], np.zeros_like(tri[:, 0])), cmu_i / 2)
-                np.add.at(M, (np.zeros_like(tri[:, 1]), tri[:, 1]), cmu_j / 2)
-                np.add.at(M, (tri[:, 1], np.zeros_like(tri[:, 1])), cmu_j / 2)
-                np.add.at(M, (tri[:, 0], tri[:, 1]), crho / 2)
-                np.add.at(M, (tri[:, 1], tri[:, 0]), crho / 2)
-
-            grad = 2.0 * (M @ V)
+            grad = 2.0 * (ops.dloss_dgram(lam, sigma_bal, sigma_tri, cur) @ V)
             # project to the tangent of the unit spheres
-            grad -= np.sum(grad * V, axis=1, keepdims=True) * V
+            grad -= (grad * V).sum(axis=1, keepdims=True) * V
 
-            cur_loss = loss_of(mu, obj, h, viol)
             V_new = _normalize_rows(V - eta * grad)
-            mu_n, obj_n, h_n, viol_n = pieces(V_new)
-            if loss_of(mu_n, obj_n, h_n, viol_n) <= cur_loss:
-                V, mu, obj, h, viol = V_new, mu_n, obj_n, h_n, viol_n
+            new = ops.pieces(V_new)
+            if loss_of(new) <= loss_of(cur):
+                V, cur = V_new, new
                 eta = min(eta * 1.05, 1.0)
                 if (it + 1) % 50 == 0:
-                    consider(V, obj, h, viol)
+                    consider(V, cur)
             else:
                 eta = max(eta * 0.5, 1e-12)
 
             if (it + 1) % 100 == 0:
-                lam += sigma_bal * h
-                resid = max(abs(h), float(np.max(viol)) if viol.size else 0.0)
+                lam += sigma_bal * cur.h
+                resid = max(abs(cur.h), cur.viol_max)
                 if resid > opts.tol and resid > 0.9 * last_resid:
                     stall += 100
                 else:
@@ -364,21 +401,17 @@ def solve(
                     stall = 0
                 last_resid = resid
 
-            obj_window.append(obj)
-            if len(obj_window) > 200:
-                obj_window.pop(0)
-                spread = max(obj_window) - min(obj_window)
-                feas = (abs(h) <= opts.tol
-                        and (float(np.max(viol)) if viol.size else 0.0) <= opts.tol)
-                if spread < 1e-9 * max(1.0, abs(obj)) and feas:
-                    converged = True
-                    break
-            new_loss = loss_of(mu, obj, h, viol)
+            obj_window.append(cur.obj)
+            if (it >= 200 and feasible_to_tol(cur)
+                    and max(obj_window) - min(obj_window) < 1e-9 * max(1.0, abs(cur.obj))):
+                converged = True
+                break
+            new_loss = loss_of(cur)
             if abs(prev_loss - new_loss) < 1e-15 and eta <= 1e-11:
                 break
             prev_loss = new_loss
 
-        consider(V, obj, h, viol)
+        consider(V, cur)
         V_report = snap_V if snap_V is not None else V
         res = residuals_from_vectors(problem, V_report)
         feasible = (res["balance"] <= opts.tol * 10
@@ -418,16 +451,22 @@ def solve_instance(
     inst: CCInstance,
     opts: SolveOptions | None = None,
     use_brute_force_seed: bool = False,
+    integral_seed: np.ndarray | None = None,
 ) -> SDPSolution:
-    """Relax and solve; seeds restart 0 from a greedy (or exact) assignment."""
+    """Relax and solve; seeds restart 0 from a greedy (or exact) assignment.
+
+    A caller that already holds an assignment (say, the brute-force
+    optimum) passes it as `integral_seed` and none is computed here.
+    """
     from .instance import brute_force_opt
 
     problem = relax(inst)
-    if use_brute_force_seed:
-        seed_assignment, _ = brute_force_opt(inst)
-    else:
-        seed_assignment = greedy_assignment(inst)
-    return solve(problem, opts, integral_seed=seed_assignment)
+    if integral_seed is None:
+        if use_brute_force_seed:
+            integral_seed, _ = brute_force_opt(inst)
+        else:
+            integral_seed = greedy_assignment(inst)
+    return solve(problem, opts, integral_seed=integral_seed)
 
 
 def unconstrained(problem: SDPProblem) -> SDPProblem:

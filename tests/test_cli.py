@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 from ccmax.cli import main
 from ccmax.gadget import format_ug, random_ug
 from ccmax.instance import CCInstance, Constraint, Xor, format_instance
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -148,6 +151,16 @@ class TestGadgetPipeline:
         out = capsys.readouterr().out
         assert "ug_value 1" in out
         assert "set_weight 0.4" in out
+
+    def test_readme_gadget_example(self, ug_file, tmp_path, monkeypatch, capsys):
+        # the README's commands run as written on inst.ug / inst.labeling
+        monkeypatch.chdir(tmp_path)
+        subs = ("gadget", "density", "completeness")
+        commands = [shlex.split(ln) for ln in README.read_text(encoding="utf-8").splitlines()
+                    if ln.startswith("ccmax ") and ln.split()[1] in subs]
+        assert [argv[1] for argv in commands] == list(subs)
+        for argv in commands:
+            assert main(argv[1:]) == 0, argv
 
     def test_density_guard(self, tmp_path, capsys):
         ug, _ = random_ug(1, 1, 5, 1, seed=0)

@@ -12,12 +12,15 @@ from ccmax.instance import (
     Or,
     Xor,
     brute_force_opt,
+    cardinality,
     constraint_value,
     evaluate,
     random_instance,
 )
+from ccmax.rounding import round_best_of
 from ccmax.sdp import (
     SDPSolution,
+    _Operators,
     SolveOptions,
     check_triangle,
     gram_matrix,
@@ -189,3 +192,88 @@ class TestSolve:
             solve(p, SolveOptions(tol=0.0))
         with pytest.raises(DomainError):
             solve(p, SolveOptions(restarts=0))
+
+
+def dense_dloss_dgram(problem, V, lam, sigma_bal, sigma_tri):
+    """Reference: d(loss)/dGram assembled term by term with np.add.at.
+
+    Returns (M, h, viol) from row dot products of V, independently of the
+    solver's precomputed flat Gram indices and scatter.
+    """
+    size = problem.n + 1
+    tri = np.array(problem.triangle_pairs, dtype=np.int64).reshape(-1, 2)
+    obj_p = np.array([p for p, _, _ in problem.objective], dtype=np.int64)
+    obj_q = np.array([q for _, q, _ in problem.objective], dtype=np.int64)
+    obj_c = np.array([c for _, _, c in problem.objective])
+    signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
+    mu = V[1:] @ V[0]
+    h = float(np.sum(mu)) - problem.balance_target if problem.balance_target is not None else 0.0
+    rho = np.einsum("ij,ij->i", V[tri[:, 0]], V[tri[:, 1]])
+    forms = np.stack([mu[tri[:, 0] - 1], mu[tri[:, 1] - 1], rho], axis=1) @ signs.T
+    viol = np.maximum(0.0, -1.0 - forms)
+
+    M = np.zeros((size, size))
+    np.add.at(M, (obj_p, obj_q), -obj_c / 2)
+    np.add.at(M, (obj_q, obj_p), -obj_c / 2)
+    if problem.balance_target is not None:
+        M[0, 1:] += (lam + sigma_bal * h) / 2
+        M[1:, 0] += (lam + sigma_bal * h) / 2
+    w4 = -sigma_tri * viol
+    zero = np.zeros_like(tri[:, 0])
+    for col, cidx in ((0, tri[:, 0]), (1, tri[:, 1])):
+        np.add.at(M, (zero, cidx), w4 @ signs[:, col] / 2)
+        np.add.at(M, (cidx, zero), w4 @ signs[:, col] / 2)
+    np.add.at(M, (tri[:, 0], tri[:, 1]), w4 @ signs[:, 2] / 2)
+    np.add.at(M, (tri[:, 1], tri[:, 0]), w4 @ signs[:, 2] / 2)
+    return M, h, viol
+
+
+class TestOperators:
+    @pytest.mark.parametrize("problem", ["cut", "2sat", "2lin"])
+    @pytest.mark.parametrize("balanced", [True, False])
+    def test_gradient_matches_dense_assembly(self, problem, balanced):
+        for seed in range(3):
+            p = relax(random_instance(13, 5, 40, problem=problem, seed=seed))
+            if not balanced:
+                p = unconstrained(p)
+            # near-planar unit vectors: spread-out triples violate triangles
+            rng = np.random.default_rng(seed)
+            V = 0.1 * rng.standard_normal((p.n + 1, p.dim))
+            theta = rng.uniform(0.0, 2 * np.pi, p.n + 1)
+            V[:, 0] += np.cos(theta)
+            V[:, 1] += np.sin(theta)
+            V /= np.linalg.norm(V, axis=1, keepdims=True)
+            ops = _Operators(p)
+            cur = ops.pieces(V)
+            M_ref, h_ref, viol_ref = dense_dloss_dgram(p, V, 0.7, 30.0, 100.0)
+            assert viol_ref.max() > 0.05  # triangle penalties are active
+            assert cur.obj == pytest.approx(objective_from_vectors(p, V), abs=1e-12)
+            assert cur.h == pytest.approx(h_ref, abs=1e-12)
+            assert cur.viol_max == pytest.approx(viol_ref.max(), abs=1e-12)
+            assert cur.viol_sq == pytest.approx(np.sum(viol_ref ** 2), abs=1e-12)
+            np.testing.assert_allclose(cur.viol, viol_ref, rtol=0, atol=1e-12)
+            M = ops.dloss_dgram(0.7, 30.0, 100.0, cur)
+            np.testing.assert_allclose(M, M_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(2.0 * (M @ V), 2.0 * (M_ref @ V), rtol=0, atol=1e-12)
+
+
+class TestDomainEdges:
+    @pytest.mark.parametrize("inst", [
+        CCInstance(n=6, k=2, constraints=(), problem="cut"),
+        CCInstance(n=1, k=0, constraints=(), problem="cut"),
+        CCInstance(n=1, k=1, constraints=(Constraint(0, 0, 1.0, Xor(1)),), problem="2lin"),
+        random_instance(7, 0, 15, problem="2sat", seed=4),
+        random_instance(7, 7, 15, problem="cut", seed=4),
+    ], ids=["no-constraints", "n1-k0", "n1-k1", "k0", "kn"])
+    def test_solve_and_round(self, inst):
+        p = relax(inst)
+        sol = solve_instance(inst, SolveOptions(restarts=2, max_iters=400, seed=1))
+        _, opt = brute_force_opt(inst)
+        assert sol.objective_value >= opt - 1e-9
+        assert sol.residuals["balance"] <= 1e-5
+        assert sol.mu.shape == (inst.n,)
+        if not p.triangle_pairs:
+            assert sol.rho == {}
+        report = round_best_of(sol, inst, rounds=5, seed=1)
+        assert cardinality(report.best_assignment) == inst.k
+        assert report.best_value == evaluate(inst, report.best_assignment)
