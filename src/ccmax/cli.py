@@ -88,8 +88,8 @@ def _solve_options(args) -> sdp.SolveOptions:
 
 def _cmd_sdp(args) -> int:
     inst = parse_instance(Path(args.input).read_text(encoding="utf-8"))
-    sol = sdp.solve_instance(
-        inst, _solve_options(args), use_brute_force_seed=inst.n <= _BRUTE_SEED_MAX_N)
+    opt_a = brute_force_opt(inst)[0] if inst.n <= _BRUTE_SEED_MAX_N else None
+    sol = sdp.solve_instance(inst, _solve_options(args), integral_seed=opt_a)
     print(f"objective {_fmt(sol.objective_value)}")
     print(f"converged {int(sol.converged)}")
     print(f"restart {sol.restart_index}")

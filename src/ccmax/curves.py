@@ -151,22 +151,9 @@ def minimize_over_rho(
     vals = f_vec(grid) if f_vec is not None else np.array([f(float(r)) for r in grid])
     i = int(np.argmin(vals))
 
-    a = float(grid[max(0, i - 1)])
-    b = float(grid[min(scan_points - 1, i + 1)])
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    m = 0.5 * (a + b)
-    candidates = [(f(m), m), (float(vals[i]), float(grid[i]))]
+    m, fm = find_local_min_q(
+        f, float(grid[max(0, i - 1)]), float(grid[min(scan_points - 1, i + 1)]), tol)
+    candidates = [(fm, m), (float(vals[i]), float(grid[i]))]
     if iv.lo_closed:
         candidates.append((f(iv.lo), iv.lo))
     value, rho_star = min(candidates, key=lambda t: t[0])
@@ -302,32 +289,14 @@ def full_conf_alpha_cut(grid_density: int = 40, refine_tol: float = 1e-9) -> Ful
     def scalar(m1: float, m2: float, r: float) -> float:
         return float(_conf_ratio_cut(m1, m2, r))
 
-    def golden_1d(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-        if b - a < 1e-14:
-            m = 0.5 * (a + b)
-            return m, fn(m)
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc, fd = fn(c), fn(d)
-        while b - a > 1e-9:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = fn(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = fn(d)
-        m = 0.5 * (a + b)
-        return m, fn(m)
-
     minima: list[tuple[float, float, float, float]] = []
 
     # The rho-boundary diagonal (mu, mu, -1 + 2|mu|) is where the global
     # minimum empirically sits; refine along it directly so the
     # coordinate descent result is corroborated by a 1-D line search.
     for sign in (1.0, -1.0):
-        mu_d, val_d = golden_1d(lambda t: scalar(sign * t, sign * t, -1.0 + 2.0 * t), 1e-6, 0.999)
+        mu_d, val_d = find_local_min_q(
+            lambda t: scalar(sign * t, sign * t, -1.0 + 2.0 * t), 1e-6, 0.999, 1e-9)
         minima.append((val_d, sign * mu_d, sign * mu_d, -1.0 + 2.0 * mu_d))
 
     for m1, m2, r in starts:
@@ -338,13 +307,13 @@ def full_conf_alpha_cut(grid_density: int = 40, refine_tol: float = 1e-9) -> Ful
             a1 = max(-0.999999, -1.0 + abs(m2 + r))
             b1 = min(0.999999, 1.0 - abs(m2 - r))
             if b1 > a1:
-                m1, _ = golden_1d(lambda t: scalar(t, m2, r), a1, b1)
+                m1, _ = find_local_min_q(lambda t: scalar(t, m2, r), a1, b1, 1e-9)
             a2 = max(-0.999999, -1.0 + abs(m1 + r))
             b2 = min(0.999999, 1.0 - abs(m1 - r))
             if b2 > a2:
-                m2, _ = golden_1d(lambda t: scalar(m1, t, r), a2, b2)
+                m2, _ = find_local_min_q(lambda t: scalar(m1, t, r), a2, b2, 1e-9)
             ar, br = _rho_range(m1, m2)
-            r, val = golden_1d(lambda t: scalar(m1, m2, t), ar, br)
+            r, val = find_local_min_q(lambda t: scalar(m1, m2, t), ar, br, 1e-9)
             # the polytope boundary in rho is often the minimizer; keep it reachable
             for edge in (ar, br):
                 ev = scalar(m1, m2, edge)
@@ -487,7 +456,12 @@ def approx_curve(problem: Problem, q_grid: Sequence[float], flatten: bool = Fals
 def find_local_min_q(
     curve_value: Callable[[float], float], q_lo: float, q_hi: float, tol: float = 1e-6
 ) -> tuple[float, float]:
-    """Golden-section argmin of a curve over a q bracket (assumes unimodal there)."""
+    """Golden-section argmin of a curve over a q bracket (assumes unimodal there).
+
+    The package's one golden-section loop: `minimize_over_rho` and
+    `full_conf_alpha_cut` refine over rho and mu brackets with it too.
+    Returns (argmin, value).
+    """
     a, b = q_lo, q_hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)

@@ -246,16 +246,45 @@ def brute_force_opt(inst: CCInstance, batch: int = 16384) -> tuple[np.ndarray, f
     return best_row, best_val
 
 
-def greedy_assignment(inst: CCInstance, passes: int = 40) -> np.ndarray:
+def flip_gains(inst: CCInstance, values: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Gain evaluate(a with v flipped) - evaluate(a) for every variable v.
+
+    Flipping x_i changes a constraint's value by -2 (c1 xi + c3 xi xj)
+    and flipping x_j by -2 (c2 xj + c3 xi xj); on a self-loop xi xj = 1
+    stays put, so its c3 part is dropped.  The ends are scattered in the
+    order i_0, j_0, i_1, j_1, ..., so each variable's terms are summed
+    in constraint order.
+    """
+    a = as_assignment(values, inst.n)
+    if not inst.constraints:
+        return np.zeros(inst.n)
+    i, j, w, _, c1, c2, c3 = inst._arrays
+    xi = a[i].astype(float)
+    xj = a[j].astype(float)
+    pair = np.where(i != j, c3 * xi * xj, 0.0)
+    terms = w[:, None] * np.stack([-2.0 * (c1 * xi + pair), -2.0 * (c2 * xj + pair)], axis=1)
+    return np.bincount(np.stack([i, j], axis=1).ravel(), weights=terms.ravel(),
+                       minlength=inst.n)
+
+
+_GREEDY_PASSES = 40
+
+
+def greedy_assignment(inst: CCInstance) -> np.ndarray:
     """Deterministic feasible assignment: linear seeding plus 1-swap ascent.
+
+    Each pass takes the first improving swap of a +1 variable u with a
+    -1 variable v, in the order (ascending u, ascending v); a swap gains
+    flip_gains[u] + flip_gains[v] - 4 Q[u, v], where Q sums w c3 over
+    the constraints joining u and v.  Stops after a pass without one,
+    or after 40 passes.
 
     Not optimal; used to seed the relaxation solver with a decent
     integral point when brute force is out of reach.
     """
-    i, j, w, c0, c1, c2, c3 = (
-        inst._arrays if inst.constraints else (None,) * 7)
     lin = np.zeros(inst.n)
     if inst.constraints:
+        i, j, w, _, c1, c2, c3 = inst._arrays
         np.add.at(lin, i, w * c1)
         np.add.at(lin, j, w * c2)
     order = np.lexsort((np.arange(inst.n), -lin))
@@ -264,26 +293,19 @@ def greedy_assignment(inst: CCInstance, passes: int = 40) -> np.ndarray:
 
     if not inst.constraints:
         return a
-    for _ in range(passes):
-        improved = False
-        val = evaluate(inst, a)
-        ones = [v for v in range(inst.n) if a[v] == 1]
-        zeros = [v for v in range(inst.n) if a[v] == -1]
-        for u in ones:
-            for v in zeros:
-                a[u], a[v] = -1, 1
-                cand = evaluate(inst, a)
-                if cand > val + 1e-15:
-                    val = cand
-                    improved = True
-                    ones = [t for t in ones if t != u] + [v]
-                    zeros = [t for t in zeros if t != v] + [u]
-                    break
-                a[u], a[v] = 1, -1
-            if improved:
-                break
-        if not improved:
+    Q = np.zeros((inst.n, inst.n))  # self-loops land on the diagonal, which no swap reads
+    np.add.at(Q, (i, j), w * c3)
+    Q += Q.T
+    for _ in range(_GREEDY_PASSES):
+        d = flip_gains(inst, a)
+        ones = np.nonzero(a == 1)[0]
+        zeros = np.nonzero(a == -1)[0]
+        gain = d[ones][:, None] + d[zeros][None, :] - 4.0 * Q[np.ix_(ones, zeros)]
+        better = np.flatnonzero(gain > 1e-15)
+        if not better.size:
             break
+        u, v = divmod(int(better[0]), zeros.size)
+        a[ones[u]], a[zeros[v]] = -1, 1
     return a
 
 

@@ -36,9 +36,9 @@ from .instance import (
     CCInstance,
     as_assignment,
     cardinality,
-    constraint_value,
     evaluate,
     evaluate_many,
+    flip_gains,
 )
 from .sdp import SDPSolution
 
@@ -118,8 +118,10 @@ def repair(raw: np.ndarray, inst: CCInstance, target_k: int) -> np.ndarray:
     determined by which |gap| candidates get flipped.  When the
     candidate space is small the best flip set is found exactly
     (myopic flipping can lose badly on hub-shaped instances: on a star
-    it flips the center first); otherwise flips are chosen greedily by
-    marginal loss, recomputed after every flip.  Either way exactly
+    it flips the center first); otherwise flips are chosen greedily:
+    each one scans the candidates' `flip_gains` at the current
+    assignment in index order and moves to a later candidate only when
+    it gains more than 1e-15 over the one held.  Either way exactly
     |cardinality(raw) - target_k| flips are performed and ties resolve
     lexicographically, so the result is deterministic.
     """
@@ -142,34 +144,14 @@ def repair(raw: np.ndarray, inst: CCInstance, target_k: int) -> np.ndarray:
         best = int(np.argmax(vals))  # argmax returns the first, lex-smallest combo
         return rows[best]
 
-    incident: list[list[int]] = [[] for _ in range(inst.n)]
-    for t, c in enumerate(inst.constraints):
-        incident[c.i].append(t)
-        if c.j != c.i:
-            incident[c.j].append(t)
-
-    def flip_delta(v: int) -> float:
-        delta = 0.0
-        for t in incident[v]:
-            c = inst.constraints[t]
-            xi, xj = int(a[c.i]), int(a[c.j])
-            new_xi = -xi if c.i == v else xi
-            new_xj = -xj if c.j == v else xj
-            delta += c.weight * (constraint_value(c.kind, new_xi, new_xj)
-                                 - constraint_value(c.kind, xi, xj))
-        return delta
-
-    while gap != 0:
-        sign = 1 if gap > 0 else -1
+    for _ in range(r):
         pool = np.nonzero(a == sign)[0]
-        best_v = int(pool[0])
-        best_d = flip_delta(best_v)
-        for v in pool[1:]:
-            d = flip_delta(int(v))
-            if d > best_d + 1e-15:
-                best_v, best_d = int(v), d
-        a[best_v] = -sign
-        gap -= sign
+        gains = flip_gains(inst, a)[pool].tolist()
+        best = 0
+        for t in range(1, len(gains)):
+            if gains[t] > gains[best] + 1e-15:
+                best = t
+        a[pool[best]] = -sign
     return a
 
 

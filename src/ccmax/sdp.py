@@ -18,9 +18,9 @@ descent with an augmented-Lagrangian multiplier on the balance equality
 and squared-hinge penalties on triangle violations.  Row norms are
 restored after every step.  It returns the best feasible-to-tolerance
 iterate over restarts; the attained value is a lower bound on the true
-relaxation optimum, not a certificate.  One restart is always seeded
-from the best known integral assignment, so the attained value also
-dominates that assignment's objective.
+relaxation optimum, not a certificate.  `solve_instance` always seeds
+restart 0 from an integral assignment (the caller's or the greedy one),
+so the attained value also dominates that assignment's objective.
 
 Everything constant is built once per problem (`_Operators`): the
 objective part of dLoss/dGram, the balance pattern, and the flat Gram
@@ -185,59 +185,6 @@ def _perturb_tangential(V: np.ndarray, rng: np.random.Generator, scale: float = 
     return _normalize_rows(V + noise)
 
 
-def _greedy_pm1(problem: SDPProblem, rng: np.random.Generator) -> np.ndarray:
-    """Feasible +-1 point with decent objective, for integral seeding."""
-    n = problem.n
-    if problem.balance_target is None:
-        x = np.where(rng.standard_normal(n) >= 0, 1, -1)
-    else:
-        k = round((problem.balance_target + n) / 2)
-        x = -np.ones(n, dtype=np.int64)
-        x[rng.permutation(n)[:k]] = 1
-
-    lin = np.zeros(n)
-    quad: list[tuple[int, int, float]] = []
-    for p, q, c in problem.objective:
-        if p == 0:
-            lin[q - 1] += c
-        else:
-            quad.append((p - 1, q - 1, c))
-
-    def value(y: np.ndarray) -> float:
-        v = float(lin @ y)
-        for a, b, c in quad:
-            v += c * y[a] * y[b]
-        return v
-
-    best = value(x)
-    for _ in range(20):
-        improved = False
-        if problem.balance_target is None:
-            for u in range(n):
-                x[u] = -x[u]
-                cand = value(x)
-                if cand > best + 1e-15:
-                    best, improved = cand, True
-                else:
-                    x[u] = -x[u]
-        else:
-            ones = np.nonzero(x == 1)[0]
-            zeros = np.nonzero(x == -1)[0]
-            for u in ones:
-                for v in zeros:
-                    x[u], x[v] = -1, 1
-                    cand = value(x)
-                    if cand > best + 1e-15:
-                        best, improved = cand, True
-                        break
-                    x[u], x[v] = 1, -1
-                if improved:
-                    break
-        if not improved:
-            break
-    return x
-
-
 class _Pieces(NamedTuple):
     """Loss terms of one iterate, computed once for the loss, feasibility and stop checks."""
 
@@ -311,10 +258,10 @@ def solve(
 ) -> SDPSolution:
     """Best feasible-to-tolerance solution over seeded restarts.
 
-    Restart 0 embeds `integral_seed` (or an internally built greedy
-    +-1 point); the embedding itself is scored, so the returned
-    objective never falls below the best known integral value by more
-    than the embedding noise.  Remaining restarts are random.  Restart
+    When `integral_seed` is given, restart 0 embeds it; the embedding
+    itself is scored, so the returned objective never falls below that
+    assignment's value by more than the embedding noise.  Every other
+    restart (restart 0 too, without a seed) starts at random.  Restart
     streams derive from (seed, restart_index); the result is
     deterministic for fixed options.
     """
@@ -334,9 +281,8 @@ def solve(
 
     for r in range(opts.restarts):
         rng = np.random.Generator(np.random.Philox(key=[opts.seed, r]))
-        if r == 0:
-            a = integral_seed if integral_seed is not None else _greedy_pm1(problem, rng)
-            V_exact = _integral_embedding(np.asarray(a, dtype=float), dim)
+        if r == 0 and integral_seed is not None:
+            V_exact = _integral_embedding(integral_seed.astype(float), dim)
             V = _perturb_tangential(V_exact, rng)
         else:
             V_exact = None
@@ -450,23 +396,17 @@ def solve(
 def solve_instance(
     inst: CCInstance,
     opts: SolveOptions | None = None,
-    use_brute_force_seed: bool = False,
     integral_seed: np.ndarray | None = None,
 ) -> SDPSolution:
-    """Relax and solve; seeds restart 0 from a greedy (or exact) assignment.
+    """Relax and solve; restart 0 embeds `integral_seed`.
 
     A caller that already holds an assignment (say, the brute-force
-    optimum) passes it as `integral_seed` and none is computed here.
+    optimum) passes it as `integral_seed`; otherwise the seed is
+    `greedy_assignment(inst)`.
     """
-    from .instance import brute_force_opt
-
-    problem = relax(inst)
     if integral_seed is None:
-        if use_brute_force_seed:
-            integral_seed, _ = brute_force_opt(inst)
-        else:
-            integral_seed = greedy_assignment(inst)
-    return solve(problem, opts, integral_seed=integral_seed)
+        integral_seed = greedy_assignment(inst)
+    return solve(relax(inst), opts, integral_seed=integral_seed)
 
 
 def unconstrained(problem: SDPProblem) -> SDPProblem:

@@ -42,10 +42,9 @@ def run_solver_suite() -> tuple[dict, str]:
         problem = "cut" if i % 2 == 0 else "2sat"
         k = 4 + (i % 7)
         inst = random_instance(14, k, 40, problem=problem, seed=1000 + i)
-        _, opt = brute_force_opt(inst)
+        opt_a, opt = brute_force_opt(inst)
         sol = sdp.solve_instance(
-            inst, sdp.SolveOptions(restarts=2, max_iters=8000, seed=i),
-            use_brute_force_seed=True)
+            inst, sdp.SolveOptions(restarts=2, max_iters=8000, seed=i), integral_seed=opt_a)
         rep = rounding.round_best_of(sol, inst, rounds=200, seed=i)
         assert cardinality(rep.best_assignment) == k
         ratio = rep.best_value / opt

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ccmax.errors import DomainError, FormatError, SizeGuardError
 from ccmax.instance import (
@@ -22,6 +22,7 @@ from ccmax.instance import (
     constraint_value,
     evaluate,
     evaluate_many,
+    flip_gains,
     format_instance,
     greedy_assignment,
     is_feasible,
@@ -33,6 +34,62 @@ from ccmax.instance import (
 def cycle_cut_instance(n: int, k: int, w: float = 1.0) -> CCInstance:
     cons = tuple(Constraint(i, (i + 1) % n, w, Xor(-1)) for i in range(n))
     return CCInstance(n=n, k=k, constraints=cons, problem="cut")
+
+
+@st.composite
+def random_instances(draw, max_n: int = 40) -> CCInstance:
+    n = draw(st.integers(2, max_n))
+    return random_instance(
+        n, draw(st.integers(0, n)), draw(st.integers(1, 5 * n)),
+        problem=draw(st.sampled_from(("cut", "2lin", "2sat", "kvc"))),
+        seed=draw(st.integers(0, 2**16)), weighted=draw(st.booleans()))
+
+
+def self_loop_instance(problem: str, n: int = 6) -> CCInstance:
+    """A self-loop of every kind `problem` allows, plus 14 random pairs (loops among them)."""
+    kinds = [Or(p) for p in OR_PATTERNS] if problem == "2sat" else [Xor(-1), Xor(1)]
+    rng = np.random.default_rng(4)
+    cons = [Constraint(t % n, t % n, float(rng.uniform(0.1, 2.0)), kind)
+            for t, kind in enumerate(kinds)]
+    cons += [Constraint(int(u), int(v), float(rng.uniform(0.1, 2.0)),
+                        kinds[int(rng.integers(len(kinds)))])
+             for u, v in rng.integers(0, n, size=(14, 2))]
+    return CCInstance(n=n, k=2, constraints=tuple(cons), problem=problem)
+
+
+def greedy_oracle(inst: CCInstance, passes: int = 40) -> np.ndarray:
+    """Linear seeding plus 1-swap ascent that re-evaluates every candidate swap in full."""
+    i, j, w, c0, c1, c2, c3 = (
+        inst._arrays if inst.constraints else (None,) * 7)
+    lin = np.zeros(inst.n)
+    if inst.constraints:
+        np.add.at(lin, i, w * c1)
+        np.add.at(lin, j, w * c2)
+    order = np.lexsort((np.arange(inst.n), -lin))
+    a = -np.ones(inst.n, dtype=np.int64)
+    a[order[: inst.k]] = 1
+
+    if not inst.constraints:
+        return a
+    for _ in range(passes):
+        improved = False
+        val = evaluate(inst, a)
+        ones = [v for v in range(inst.n) if a[v] == 1]
+        zeros = [v for v in range(inst.n) if a[v] == -1]
+        for u in ones:
+            for v in zeros:
+                a[u], a[v] = -1, 1
+                cand = evaluate(inst, a)
+                if cand > val + 1e-15:
+                    val = cand
+                    improved = True
+                    break
+                a[u], a[v] = 1, -1
+            if improved:
+                break
+        if not improved:
+            break
+    return a
 
 
 class TestConstraintValue:
@@ -192,6 +249,40 @@ class TestAssignments:
         inst = random_instance(n, k, 2 * n, problem="cut", seed=n)
         a = greedy_assignment(inst)
         assert cardinality(a) == k
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(random_instances())
+    @example(random_instance(60, 24, 300, problem="2sat", seed=7))
+    @example(random_instance(60, 36, 300, problem="cut", seed=8, weighted=False))
+    @example(self_loop_instance("2sat"))
+    @example(self_loop_instance("2lin"))
+    def test_greedy_matches_full_reevaluation_oracle(self, inst):
+        assert np.array_equal(greedy_assignment(inst), greedy_oracle(inst))
+
+    def test_greedy_without_constraints(self):
+        inst = CCInstance(n=4, k=2, constraints=())
+        assert np.array_equal(greedy_assignment(inst), [1, 1, -1, -1])
+
+
+class TestFlipGains:
+    @pytest.mark.parametrize("problem", ["2sat", "2lin"])
+    def test_matches_evaluate_differences_with_self_loops(self, problem):
+        inst = self_loop_instance(problem)
+        n = inst.n
+        for values in itertools.product((-1, 1), repeat=n):
+            a = np.array(values)
+            base = evaluate(inst, a)
+            flipped = a[None, :] * np.where(np.eye(n, dtype=bool), -1, 1)
+            expect = [evaluate(inst, row) - base for row in flipped]
+            assert np.max(np.abs(flip_gains(inst, a) - expect)) <= 1e-12
+
+    def test_no_constraints(self):
+        inst = CCInstance(n=3, k=1, constraints=())
+        assert np.array_equal(flip_gains(inst, [1, -1, -1]), np.zeros(3))
+
+    def test_rejects_bad_assignment(self):
+        with pytest.raises(DomainError):
+            flip_gains(cycle_cut_instance(4, 2), [1, 0, 1, -1])
 
 
 class TestFileFormat:

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ccmax.errors import DomainError
 from ccmax.instance import (
@@ -15,10 +16,12 @@ from ccmax.instance import (
     Xor,
     brute_force_opt,
     cardinality,
+    constraint_value,
     evaluate,
     random_instance,
 )
 from ccmax.rounding import (
+    _REPAIR_EXACT_BUDGET,
     RoundingReport,
     expected_pair_product,
     gaussian_vector,
@@ -50,6 +53,60 @@ def cycle(n: int, k: int) -> CCInstance:
 def star(n: int, k: int) -> CCInstance:
     cons = tuple(Constraint(0, i, 1.0, Xor(-1)) for i in range(1, n))
     return CCInstance(n=n, k=k, constraints=cons, problem="cut")
+
+
+def greedy_repair_oracle(raw: np.ndarray, inst: CCInstance, target_k: int) -> np.ndarray:
+    """Repair by greedy flips, each flip's loss summed per incident constraint."""
+    a = raw.copy()
+    incident: list[list[int]] = [[] for _ in range(inst.n)]
+    for t, c in enumerate(inst.constraints):
+        incident[c.i].append(t)
+        if c.j != c.i:
+            incident[c.j].append(t)
+
+    def flip_delta(v: int) -> float:
+        delta = 0.0
+        for t in incident[v]:
+            c = inst.constraints[t]
+            xi, xj = int(a[c.i]), int(a[c.j])
+            new_xi = -xi if c.i == v else xi
+            new_xj = -xj if c.j == v else xj
+            delta += c.weight * (constraint_value(c.kind, new_xi, new_xj)
+                                 - constraint_value(c.kind, xi, xj))
+        return delta
+
+    gap = cardinality(a) - target_k
+    while gap != 0:
+        sign = 1 if gap > 0 else -1
+        pool = np.nonzero(a == sign)[0]
+        best_v = int(pool[0])
+        best_d = flip_delta(best_v)
+        for v in pool[1:]:
+            d = flip_delta(int(v))
+            if d > best_d + 1e-15:
+                best_v, best_d = int(v), d
+        a[best_v] = -sign
+        gap -= sign
+    return a
+
+
+@st.composite
+def over_budget_repairs(draw) -> tuple[np.ndarray, CCInstance, int]:
+    """(raw, instance, target) whose flip sets overflow the exact repair's budget."""
+    n = draw(st.integers(25, 60))
+    cands = draw(st.integers(25, n))  # entries equal to the side that gets flipped
+    r = draw(st.integers(6, cands - 6))
+    down = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    raw = np.full(n, -1 if down else 1)
+    raw[rng.permutation(n)[:cands]] = 1 if down else -1
+    ones = cardinality(raw)
+    target = ones - r if down else ones + r
+    inst = random_instance(
+        n, target, draw(st.integers(1, 5 * n)),
+        problem=draw(st.sampled_from(("cut", "2lin", "2sat", "kvc"))),
+        seed=draw(st.integers(0, 2**16)), weighted=draw(st.booleans()))
+    return raw, inst, target
 
 
 class TestGaussianStream:
@@ -195,6 +252,16 @@ class TestRepair:
         assert cardinality(fixed) == 6
         assert int(np.sum(fixed != raw)) == 18
 
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(over_budget_repairs())
+    @example((np.where(np.arange(60) < 40, 1, -1), random_instance(60, 24, 300, seed=3), 24))
+    def test_greedy_path_matches_per_constraint_oracle(self, case):
+        raw, inst, target = case
+        gap = abs(cardinality(raw) - target)
+        assert math.comb(int(np.sum(raw == (1 if cardinality(raw) > target else -1))),
+                         gap) > _REPAIR_EXACT_BUDGET
+        assert np.array_equal(repair(raw, inst, target), greedy_repair_oracle(raw, inst, target))
+
     def test_rejects_bad_target(self):
         with pytest.raises(DomainError):
             repair(np.ones(4, dtype=np.int64), cycle(4, 2), 5)
@@ -213,7 +280,7 @@ class TestRoundBestOf:
     def test_four_cycle_hits_optimum(self):
         inst = cycle(4, 2)
         sol = solve_instance(inst, SolveOptions(restarts=2, max_iters=5000, seed=2),
-                             use_brute_force_seed=True)
+                             integral_seed=brute_force_opt(inst)[0])
         rep = round_best_of(sol, inst, rounds=50, seed=5)
         assert rep.best_value == 4.0
         assert cardinality(rep.best_assignment) == 2
@@ -237,9 +304,9 @@ class TestRoundBestOf:
         for seed in range(3):
             prob = "cut" if seed % 2 == 0 else "2sat"
             inst = random_instance(10, 4, 24, problem=prob, seed=40 + seed)
-            _, opt = brute_force_opt(inst)
+            opt_a, opt = brute_force_opt(inst)
             sol = solve_instance(inst, SolveOptions(restarts=2, max_iters=4000, seed=seed),
-                                 use_brute_force_seed=True)
+                                 integral_seed=opt_a)
             rep = round_best_of(sol, inst, rounds=100, seed=seed)
             assert rep.best_value / opt >= 0.858
 

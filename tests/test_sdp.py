@@ -121,8 +121,9 @@ class TestSolve:
         assert sol.rho[(0, 1)] == pytest.approx(-1.0, abs=1e-5)
 
     def test_four_cycle_tight(self):
-        sol = solve_instance(cycle(4, 2), SolveOptions(restarts=2, max_iters=6000, seed=3),
-                             use_brute_force_seed=True)
+        inst = cycle(4, 2)
+        sol = solve_instance(inst, SolveOptions(restarts=2, max_iters=6000, seed=3),
+                             integral_seed=brute_force_opt(inst)[0])
         assert sol.objective_value == pytest.approx(4.0, abs=1e-6)
 
     def test_five_cycle_gap_and_gram_oracle(self):
@@ -141,9 +142,9 @@ class TestSolve:
     def test_dominates_integral_optimum(self):
         for seed in (0, 1):
             inst = random_instance(12, 5, 30, problem="2sat", seed=seed)
-            _, opt = brute_force_opt(inst)
+            opt_a, opt = brute_force_opt(inst)
             sol = solve_instance(inst, SolveOptions(restarts=2, max_iters=6000, seed=seed),
-                                 use_brute_force_seed=True)
+                                 integral_seed=opt_a)
             assert sol.objective_value >= opt - 1e-9
             assert sol.residuals["balance"] <= 1e-5
             assert sol.residuals["triangle_max_violation"] <= 1e-5
