@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, curves, gadget, rounding, sdp, verify
-from .errors import CcmaxError, DomainError, FormatError, SizeGuardError
+from .errors import CcmaxError, DomainError, SizeGuardError
 from .gaussian import gamma_rho
 from .instance import brute_force_opt, cardinality, evaluate, parse_instance
 
@@ -277,10 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     except SizeGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, FormatError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CcmaxError as exc:
+    except (CcmaxError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

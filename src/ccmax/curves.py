@@ -17,6 +17,10 @@ collapse to 2q, which yields the closed approximation-ratio forms
 so alpha_cut(q) == beta_cut(q, -q/(1-q)) and alpha_2sat(q) ==
 beta_vc(q, -q/(1-q)) hold as identities; tests pin them to 1e-10.
 
+Each beta formula is written once and takes a float or an array of
+rhos.  `minimize_over_rho` takes one such callable: it calls it once on
+the whole dense rho scan and on floats during golden section.
+
 `full_conf_alpha_cut` solves the underlying three-variable problem: the
 minimum over all configurations (mu1, mu2, rho) satisfying the four
 triangle inequalities of the per-constraint cut rounding ratio.  The
@@ -34,8 +38,10 @@ arguments that transfer hardness across cardinalities:
     dummy variables additionally make the problem at any q at least as
     hard as unconstrained Max-2-Sat, clamping the center bump at
     UNCONSTRAINED_2SAT_LEVEL.
-All flattening operates on the evaluated grid; callers who want the
-clipping to "see" a minimum must include it in the grid range.
+Each distinct q is evaluated once; the 2sat rule reads curve(1-q) from
+the same evaluations.  All flattening operates on the evaluated grid;
+callers who want the clipping to "see" a minimum must include it in the
+grid range.
 """
 
 from __future__ import annotations
@@ -57,6 +63,9 @@ from .gaussian import gamma_rho, gamma_rho_vec
 UNCONSTRAINED_2SAT_LEVEL = 0.9401
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Points in the dense rho scan that seeds each minimization.
+_SCAN_POINTS = 512
 
 Problem = Literal["cut", "vc", "2sat"]
 
@@ -96,77 +105,70 @@ def kappa(q: float) -> RhoInterval:
     return RhoInterval(lo=-(1.0 - q) / q, lo_closed=True)
 
 
-def _check_rho_in_kappa(q: float, rho: float) -> None:
+def _check_rho_in_kappa(q: float, rho) -> None:
     iv = kappa(q)
-    if not iv.contains(rho):
-        raise DomainError(f"rho={rho!r} outside kappa({q}) = {iv}")
+    bad = [r for r in np.ravel(rho).tolist() if not iv.contains(r)]
+    if bad:
+        raise DomainError(f"rho={bad[0]!r} outside kappa({q}) = {iv}")
 
 
-def beta_cut(q: float, rho: float) -> float:
-    """Cut hardness ratio at cardinality q and correlation rho."""
-    _check_q(q)
-    _check_rho_in_kappa(q, rho)
-    g = gamma_rho(rho, q, q) + gamma_rho(rho, 1.0 - q, 1.0 - q)
+def _beta_cut(q: float, rho):
+    g = gamma_rho_vec(rho, q, q) + gamma_rho_vec(rho, 1.0 - q, 1.0 - q)
     return (1.0 - g) / (2.0 * (q - q * q) * (1.0 - rho))
 
 
-def beta_vc(q: float, rho: float) -> float:
-    """Coverage hardness ratio at cardinality q and correlation rho."""
-    _check_q(q)
+def _beta_vc(q: float, rho):
+    return (1.0 - gamma_rho_vec(rho, 1.0 - q, 1.0 - q)) / (q * (1.0 + (1.0 - q) * (1.0 - rho)))
+
+
+def beta_cut(q: float, rho):
+    """Cut hardness ratio at cardinality q; rho is a float or an array inside kappa(q)."""
     _check_rho_in_kappa(q, rho)
-    return (1.0 - gamma_rho(rho, 1.0 - q, 1.0 - q)) / (q * (1.0 + (1.0 - q) * (1.0 - rho)))
+    return _beta_cut(q, rho)
 
 
-def _beta_cut_vec(q: float, rhos: np.ndarray) -> np.ndarray:
-    g = gamma_rho_vec(rhos, q, q) + gamma_rho_vec(rhos, 1.0 - q, 1.0 - q)
-    return (1.0 - g) / (2.0 * (q - q * q) * (1.0 - rhos))
+def beta_vc(q: float, rho):
+    """Coverage hardness ratio at cardinality q; rho is a float or an array inside kappa(q)."""
+    _check_rho_in_kappa(q, rho)
+    return _beta_vc(q, rho)
 
 
-def _beta_vc_vec(q: float, rhos: np.ndarray) -> np.ndarray:
-    return (1.0 - gamma_rho_vec(rhos, 1.0 - q, 1.0 - q)) / (q * (1.0 + (1.0 - q) * (1.0 - rhos)))
-
-
-def minimize_over_rho(
-    f: Callable[[float], float],
-    q: float,
-    tol: float = 1e-8,
-    *,
-    scan_points: int = 512,
-    f_vec: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> tuple[float, float]:
+def minimize_over_rho(f: Callable, q: float, tol: float = 1e-8) -> tuple[float, float]:
     """Minimize a curve function over rho in kappa(q).
 
-    Dense scan (512 points) followed by golden-section refinement of the
-    best bracket; hedges against non-unimodality.  The open right
-    endpoint rho -> 0- has the analytic limit value 1 and is never a
-    minimizer; the left endpoint is evaluated exactly when closed.
-    Returns (rho_star, value).
+    f takes a float or an array of rhos.  It is called once on a dense
+    scan of _SCAN_POINTS points, then on floats by golden-section
+    refinement of the best bracket; the scan hedges against
+    non-unimodality.  The open right endpoint rho -> 0- has the analytic
+    limit value 1 and is never a minimizer; the left endpoint is
+    evaluated exactly when closed.  Returns (rho_star, value).
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     iv = kappa(q)
     span = iv.hi_open - iv.lo
-    start = iv.lo if iv.lo_closed else iv.lo + span / scan_points
-    grid = np.linspace(start, -1e-9, scan_points)
-    vals = f_vec(grid) if f_vec is not None else np.array([f(float(r)) for r in grid])
+    start = iv.lo if iv.lo_closed else iv.lo + span / _SCAN_POINTS
+    grid = np.linspace(start, -1e-9, _SCAN_POINTS)
+    vals = f(grid)
     i = int(np.argmin(vals))
 
     m, fm = find_local_min_q(
-        f, float(grid[max(0, i - 1)]), float(grid[min(scan_points - 1, i + 1)]), tol)
-    candidates = [(fm, m), (float(vals[i]), float(grid[i]))]
+        f, float(grid[max(0, i - 1)]), float(grid[min(_SCAN_POINTS - 1, i + 1)]), tol)
+    candidates = [(float(fm), m), (float(vals[i]), float(grid[i]))]
     if iv.lo_closed:
-        candidates.append((f(iv.lo), iv.lo))
+        candidates.append((float(f(iv.lo)), iv.lo))
     value, rho_star = min(candidates, key=lambda t: t[0])
     return rho_star, value
 
 
 def _hardness_point(problem: Problem, q: float) -> tuple[float, float]:
-    """(rho_star, value) of the pointwise infimum for one q."""
-    if problem == "cut":
-        return minimize_over_rho(lambda r: beta_cut(q, r), q,
-                                 f_vec=lambda rs: _beta_cut_vec(q, rs))
-    return minimize_over_rho(lambda r: beta_vc(q, r), q,
-                             f_vec=lambda rs: _beta_vc_vec(q, rs))
+    """(rho_star, value) of the pointwise infimum for one q.
+
+    Calls the unvalidated formula: the scan grid and every golden-section
+    point lie inside kappa(q).
+    """
+    beta = _beta_cut if problem == "cut" else _beta_vc
+    return minimize_over_rho(lambda r: beta(q, r), q)
 
 
 def extremal_rho(q: float) -> float:
@@ -364,71 +366,46 @@ def _validate_grid(q_grid: Sequence[float]) -> list[float]:
 
 
 def hardness_curve(problem: Problem, q_grid: Sequence[float], flatten: bool = False) -> list[CurvePoint]:
-    """Hardness ratio curve, optionally flattened by the padding rules."""
+    """Hardness ratio curve, optionally flattened by the padding rules.
+
+    Each distinct q is evaluated once.  The points are the grid, then,
+    for flattened 2sat, each mirror 1 - q not within 1e-12 of a point
+    already listed, so min(curve(q), curve(1-q)) reads both sides from
+    the same evaluations.
+    """
     if problem not in ("cut", "vc", "2sat"):
         raise DomainError(f"unknown problem {problem!r}")
     qs = _validate_grid(q_grid)
-
-    if problem == "2sat":
-        return _curve_2sat(qs, flatten)
-
-    raw = [_hardness_point(problem, q) for q in qs]
-    if not flatten:
-        return [CurvePoint(q, v, r, False) for q, (r, v) in zip(qs, raw)]
-
-    vals = np.array([v for _, v in raw])
-    if problem == "vc":
-        flat = np.minimum.accumulate(vals[::-1])[::-1]
-    else:
-        flat = vals.copy()
-        left = [i for i, q in enumerate(qs) if q <= 0.5]
-        right = [i for i, q in enumerate(qs) if q >= 0.5]
-        if left:
-            seg = vals[left]
-            flat[left] = np.minimum.accumulate(seg[::-1])[::-1]
-        if right:
-            flat[right] = np.minimum.accumulate(vals[right])
-    out = []
-    for i, (q, (r, v)) in enumerate(zip(qs, raw)):
-        clipped = flat[i] < v - 1e-15
-        out.append(CurvePoint(q, float(flat[i]), None if clipped else r, clipped))
-    return out
-
-
-def _curve_2sat(qs: list[float], flatten: bool) -> list[CurvePoint]:
-    raw = [_hardness_point("vc", q) for q in qs]
-    if not flatten:
-        return [CurvePoint(q, v, r, False) for q, (r, v) in zip(qs, raw)]
-
-    # Evaluate the vc curve on the grid joined with its mirror image so
-    # min(curve(q), curve(1-q)) uses consistently computed values.
-    combined: list[float] = []
-    pos: dict[float, int] = {}
-    mirror_of: list[float] = []
-    for q in qs:
-        m = 1.0 - q
-        for cand in (q, m):
-            match = next((c for c in combined if abs(c - cand) <= 1e-12), None)
-            if match is None:
-                pos[cand] = len(combined)
-                combined.append(cand)
-            else:
-                pos[cand] = pos[match]
-        mirror_of.append(m)
-    order = np.argsort(combined)
-    sorted_q = [combined[i] for i in order]
-    sorted_vals = np.array([_hardness_point("vc", q)[1] for q in sorted_q])
-    vcflat_sorted = np.minimum.accumulate(sorted_vals[::-1])[::-1]
-    vcflat = np.empty(len(combined))
-    vcflat[order] = vcflat_sorted
-
-    out = []
-    for q, m, (r, v) in zip(qs, mirror_of, raw):
-        s = min(vcflat[pos[q]], vcflat[pos[m]])
-        clamped = min(s, UNCONSTRAINED_2SAT_LEVEL)
-        clipped = clamped < v - 1e-15
-        out.append(CurvePoint(q, float(clamped), None if clipped else r, clipped))
-    return out
+    points = list(qs)
+    mirror: list[int] = []
+    if flatten and problem == "2sat":
+        for q in qs:
+            m = 1.0 - q
+            j = next((j for j, p in enumerate(points) if abs(p - m) <= 1e-12), len(points))
+            if j == len(points):
+                points.append(m)
+            mirror.append(j)
+    rhos, vals = np.array([_hardness_point("cut" if problem == "cut" else "vc", p)
+                           for p in points]).T
+    n = len(qs)
+    raw = vals[:n]
+    flat = raw
+    if flatten and problem == "cut":
+        at = np.array(qs)
+        left, right = at <= 0.5, at >= 0.5
+        flat = raw.copy()
+        flat[left] = np.minimum.accumulate(raw[left][::-1])[::-1]
+        flat[right] = np.minimum.accumulate(raw[right])
+    elif flatten:
+        order = np.argsort(points)
+        flat = np.empty_like(vals)
+        flat[order] = np.minimum.accumulate(vals[order][::-1])[::-1]
+        if mirror:
+            flat = np.minimum(np.minimum(flat[:n], flat[mirror]), UNCONSTRAINED_2SAT_LEVEL)
+        flat = flat[:n]
+    clipped = flat < raw - 1e-15
+    return [CurvePoint(q, float(f), None if c else float(r), bool(c))
+            for q, f, r, c in zip(qs, flat, rhos, clipped)]
 
 
 def approx_curve(problem: Problem, q_grid: Sequence[float], flatten: bool = False) -> list[CurvePoint]:

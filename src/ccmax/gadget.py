@@ -158,6 +158,10 @@ class WeightedGraph:
         if self.edge_a.size and (self.edge_a.min() < 0 or self.edge_a.max() >= n
                                  or self.edge_b.min() < 0 or self.edge_b.max() >= n):
             raise DomainError("edge endpoint out of range")
+        if n == 0:
+            raise DomainError("graph must have at least one vertex")
+        if not (np.all(np.isfinite(self.vertex_weights)) and np.all(np.isfinite(self.edge_w))):
+            raise DomainError("weights must be finite")
         if np.any(self.vertex_weights < 0) or np.any(self.edge_w < 0):
             raise DomainError("weights must be nonnegative")
 

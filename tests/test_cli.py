@@ -69,6 +69,12 @@ class TestCurves:
         assert main(argv) == 0
         assert out.read_bytes() == text1
 
+    def test_out_is_a_directory(self, tmp_path, capsys):
+        argv = ["curves", "--problem", "2sat", "--kind", "alpha", "--q-min", "0.3",
+                "--q-max", "0.4", "--step", "0.05", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_alpha_kind(self, tmp_path):
         out = tmp_path / "alpha.csv"
         assert main(["curves", "--problem", "2sat", "--kind", "alpha",
@@ -99,6 +105,16 @@ class TestBrute:
 
     def test_missing_file(self):
         assert main(["brute", "--input", "/nonexistent/foo.ccmax"]) == 2
+
+    def test_input_is_a_directory(self, tmp_path, capsys):
+        assert main(["brute", "--input", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_input_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ccmax"
+        path.write_bytes(b"ccmax v1\nproblem cut\nvars 2\ncard 1\n# caf\xe9\n")
+        assert main(["brute", "--input", str(path)]) == 2
+        assert "codec can't decode" in capsys.readouterr().err
 
 
 class TestSolvePipeline:
@@ -153,14 +169,31 @@ class TestGadgetPipeline:
         assert "set_weight 0.4" in out
 
     def test_readme_gadget_example(self, ug_file, tmp_path, monkeypatch, capsys):
-        # the README's commands run as written on inst.ug / inst.labeling
+        # every command of the README's command block runs as written, on the
+        # README's own instance example and on inst.ug / inst.labeling
+        text = README.read_text(encoding="utf-8")
+        block = text.split("## Command line")[1].split("```sh\n")[1].split("```")[0]
+        commands = [shlex.split(ln) for ln in block.replace("\\\n", " ").splitlines()
+                    if ln.startswith("ccmax ")]
+        assert [argv[1] for argv in commands] == [
+            "gamma", "curves", "curves", "brute", "sdp", "solve",
+            "gadget", "density", "completeness", "verify"]
+        example = text.split("Instance (`ccmax v1`):")[1].split("```")[1]
+        (tmp_path / "instance.ccmax").write_text(example.lstrip("\n"), encoding="utf-8")
         monkeypatch.chdir(tmp_path)
-        subs = ("gadget", "density", "completeness")
-        commands = [shlex.split(ln) for ln in README.read_text(encoding="utf-8").splitlines()
-                    if ln.startswith("ccmax ") and ln.split()[1] in subs]
-        assert [argv[1] for argv in commands] == list(subs)
         for argv in commands:
             assert main(argv[1:]) == 0, argv
+
+    @pytest.mark.parametrize("text", [
+        "graph v1\n",
+        "graph v1\nvertex 1 nan\nedge 1 1 1\n",
+        "graph v1\nvertex 1 0.5\nvertex 2 0.5\nedge 1 2 inf\n",
+    ])
+    def test_density_rejects_bad_graph(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.graph"
+        path.write_text(text, encoding="utf-8")
+        assert main(["density", "--graph", str(path), "--mode", "exact"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_density_guard(self, tmp_path, capsys):
         ug, _ = random_ug(1, 1, 5, 1, seed=0)

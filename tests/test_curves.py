@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
+from ccmax import curves
 from ccmax.curves import (
+    UNCONSTRAINED_2SAT_LEVEL,
     Configuration,
+    CurvePoint,
     RhoInterval,
     alpha_2sat,
     alpha_cut,
@@ -81,6 +86,20 @@ class TestBetaCut:
             beta_cut(0.25, -0.5)
         with pytest.raises(DomainError):
             beta_cut(0.25, 0.0)
+
+    def test_array_matches_floats(self):
+        rhos = np.linspace(kappa(0.3).lo, -1e-6, 7)
+        for beta in (beta_cut, beta_vc):
+            vals = beta(0.3, rhos)
+            assert vals.shape == rhos.shape
+            assert list(vals) == [beta(0.3, float(r)) for r in rhos]
+
+    def test_rejects_array_with_one_rho_outside_kappa(self):
+        for beta in (beta_cut, beta_vc):
+            with pytest.raises(DomainError, match=r"rho=-0\.5 outside kappa"):
+                beta(0.25, np.array([-0.2, -0.5, -0.1]))
+            with pytest.raises(DomainError):
+                beta(0.25, np.array([-0.2, np.nan]))
 
 
 class TestBetaVc:
@@ -317,3 +336,142 @@ class TestApproxCurve:
         vals = {p.ratio for p in pts}
         assert len(vals) == 1
         assert vals.pop() == pytest.approx(min(alpha_2sat(q) for q in qs), abs=1e-15)
+
+
+def q_grid(q_min: float, q_max: float, step: float = 0.004) -> list[float]:
+    count = int(round((q_max - q_min) / step)) + 1
+    return [round(q_min + i * step, 12) for i in range(count)]
+
+
+def hardness_curve_oracle(problem, q_grid, flatten=False):
+    """The earlier two-path hardness_curve: a separate 2sat routine that
+    evaluates every grid q twice and joins grid and mirrors by position."""
+    qs = curves._validate_grid(q_grid)
+    if problem == "2sat":
+        return _curve_2sat_oracle(qs, flatten)
+    raw = [curves._hardness_point(problem, q) for q in qs]
+    if not flatten:
+        return [CurvePoint(q, v, r, False) for q, (r, v) in zip(qs, raw)]
+    vals = np.array([v for _, v in raw])
+    if problem == "vc":
+        flat = np.minimum.accumulate(vals[::-1])[::-1]
+    else:
+        flat = vals.copy()
+        left = [i for i, q in enumerate(qs) if q <= 0.5]
+        right = [i for i, q in enumerate(qs) if q >= 0.5]
+        if left:
+            seg = vals[left]
+            flat[left] = np.minimum.accumulate(seg[::-1])[::-1]
+        if right:
+            flat[right] = np.minimum.accumulate(vals[right])
+    out = []
+    for i, (q, (r, v)) in enumerate(zip(qs, raw)):
+        clipped = flat[i] < v - 1e-15
+        out.append(CurvePoint(q, float(flat[i]), None if clipped else r, clipped))
+    return out
+
+
+def _curve_2sat_oracle(qs, flatten):
+    raw = [curves._hardness_point("vc", q) for q in qs]
+    if not flatten:
+        return [CurvePoint(q, v, r, False) for q, (r, v) in zip(qs, raw)]
+    combined: list[float] = []
+    pos: dict[float, int] = {}
+    mirror_of: list[float] = []
+    for q in qs:
+        m = 1.0 - q
+        for cand in (q, m):
+            match = next((c for c in combined if abs(c - cand) <= 1e-12), None)
+            if match is None:
+                pos[cand] = len(combined)
+                combined.append(cand)
+            else:
+                pos[cand] = pos[match]
+        mirror_of.append(m)
+    order = np.argsort(combined)
+    sorted_q = [combined[i] for i in order]
+    sorted_vals = np.array([curves._hardness_point("vc", q)[1] for q in sorted_q])
+    vcflat_sorted = np.minimum.accumulate(sorted_vals[::-1])[::-1]
+    vcflat = np.empty(len(combined))
+    vcflat[order] = vcflat_sorted
+    out = []
+    for q, m, (r, v) in zip(qs, mirror_of, raw):
+        s = min(vcflat[pos[q]], vcflat[pos[m]])
+        clamped = min(s, UNCONSTRAINED_2SAT_LEVEL)
+        clipped = clamped < v - 1e-15
+        out.append(CurvePoint(q, float(clamped), None if clipped else r, clipped))
+    return out
+
+
+def _as_tuples(points):
+    return [(p.q, p.ratio, p.rho_star, p.flattened) for p in points]
+
+
+FIGURE_GRIDS = {"cut": q_grid(0.2, 0.8), "vc": q_grid(0.2, 0.996), "2sat": q_grid(0.3, 0.7)}
+
+
+@pytest.fixture(scope="module")
+def point_cache():
+    return {}
+
+
+@pytest.fixture
+def shared_points(point_cache, monkeypatch):
+    """Let the curve and its oracle read one evaluation per (problem, q)."""
+    point = curves._hardness_point
+
+    def cached(problem, q):
+        if (problem, q) not in point_cache:
+            point_cache[problem, q] = point(problem, q)
+        return point_cache[problem, q]
+
+    monkeypatch.setattr(curves, "_hardness_point", cached)
+
+
+class TestHardnessCurveOracle:
+    @pytest.mark.parametrize("flatten", [False, True])
+    @pytest.mark.parametrize("problem", ["cut", "vc", "2sat"])
+    def test_figure_grids(self, problem, flatten, shared_points):
+        grid = FIGURE_GRIDS[problem]
+        assert _as_tuples(hardness_curve(problem, grid, flatten)) == _as_tuples(
+            hardness_curve_oracle(problem, grid, flatten))
+
+    @pytest.mark.parametrize("grid", [
+        [0.21, 0.33, 0.5, 0.61, 0.62, 0.9],  # mirrors fall off the grid
+        [0.55, 0.6, 0.75, 0.83],              # q > 1/2 only
+    ])
+    @pytest.mark.parametrize("flatten", [False, True])
+    @pytest.mark.parametrize("problem", ["cut", "vc", "2sat"])
+    def test_off_grid_mirrors_and_upper_half(self, problem, flatten, grid, shared_points):
+        assert _as_tuples(hardness_curve(problem, grid, flatten)) == _as_tuples(
+            hardness_curve_oracle(problem, grid, flatten))
+
+    def test_flattened_2sat_evaluates_each_q_once(self, monkeypatch):
+        calls = []
+        point = curves._hardness_point
+
+        def counted(problem, q):
+            calls.append(q)
+            return point(problem, q)
+
+        monkeypatch.setattr(curves, "_hardness_point", counted)
+        chunk = q_grid(0.3, 0.328)
+        assert len(chunk) == 8
+        hardness_curve("2sat", chunk, flatten=True)
+        assert len(calls) == 16 == len(set(calls))
+        calls.clear()
+        hardness_curve_oracle("2sat", chunk, flatten=True)
+        assert len(calls) == 24
+
+
+class TestHardnessDomainEdges:
+    @pytest.mark.parametrize("flatten", [False, True])
+    @pytest.mark.parametrize("problem", ["cut", "vc", "2sat"])
+    def test_q_near_zero_and_one(self, problem, flatten):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = hardness_curve(problem, [1e-6, 1.0 - 1e-6], flatten)
+        for p in pts:
+            assert 0.0 <= p.ratio <= 1.0
+            if problem == "2sat" and flatten:
+                assert p.ratio <= UNCONSTRAINED_2SAT_LEVEL

@@ -348,3 +348,21 @@ class TestFileFormats:
         ug, _ = random_ug(2, 2, 2, 1, seed=0)
         with pytest.raises(FormatError):
             parse_labeling("labeling v1\nu 1 1\n", ug)
+
+    def test_graph_rejects_no_vertices(self):
+        with pytest.raises(FormatError, match="at least one vertex"):
+            parse_graph("graph v1\n")
+        with pytest.raises(DomainError):
+            WeightedGraph(np.zeros(0), np.zeros(0, dtype=np.int64),
+                          np.zeros(0, dtype=np.int64), np.zeros(0))
+
+    @pytest.mark.parametrize("text", [
+        "graph v1\nvertex 1 nan\nedge 1 1 1\n",
+        "graph v1\nvertex 1 inf\nedge 1 1 1\n",
+        "graph v1\nvertex 1 0.5\nvertex 2 0.5\nedge 1 2 inf\n",
+        "graph v1\nvertex 1 0.5\nvertex 2 0.5\nedge 1 2 nan\n",
+        "graph v1\nvertex 1 0.5\nvertex 2 0.5\nedge 1 2 -inf\n",
+    ])
+    def test_graph_rejects_non_finite_weights(self, text):
+        with pytest.raises(FormatError, match="finite"):
+            parse_graph(text)
