@@ -37,7 +37,6 @@ that unsatisfiable instances would guarantee.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -85,9 +84,6 @@ class UGInstance:
     @property
     def degree(self) -> int:
         return len(self.edges) // self.n_left
-
-    def edges_at(self, u: int) -> list[tuple[int, tuple[int, ...]]]:
-        return [(v, perm) for uu, v, perm in self.edges if uu == u]
 
 
 @dataclass(frozen=True)
@@ -197,7 +193,9 @@ class WeightedGraph:
         return float(np.sum(self.edge_w[hit]))
 
     def internal_weight(self, mask: np.ndarray) -> float:
-        return self.w_between(mask, mask)
+        """w(S, S); the S = T case of `w_between` with one gather per side."""
+        s = np.asarray(mask, dtype=bool)
+        return float(np.sum(self.edge_w[s[self.edge_a] & s[self.edge_b]]))
 
     def cut_weight(self, mask: np.ndarray) -> float:
         m = np.asarray(mask, dtype=bool)
@@ -211,15 +209,23 @@ class WeightedGraph:
 
 def biased_product_weights(q: float, n_labels: int) -> np.ndarray:
     """pi_q of every bitmask 0 .. 2^L - 1 (bit j = label j)."""
-    out = np.empty(1 << n_labels)
-    for x in range(1 << n_labels):
-        ones = bin(x).count("1")
-        out[x] = (q ** ones) * ((1.0 - q) ** (n_labels - ones))
-    return out
+    by_ones = np.array([(q ** j) * ((1.0 - q) ** (n_labels - j))
+                        for j in range(n_labels + 1)])
+    xs = np.arange(1 << n_labels)
+    ones = ((xs[:, None] >> np.arange(n_labels)) & 1).sum(axis=1)
+    return by_ones[ones]
 
 
 def build_gadget(ug: UGInstance, q: float, rho: float) -> WeightedGraph:
-    """Materialize the reduction graph for (q, rho); zero cells pruned."""
+    """Materialize the reduction graph for (q, rho); zero cells pruned.
+
+    Edge entries come pair by pair -- for u, for (v1, v2) in its
+    incident edges -- each pair listing the surviving tensor cells in
+    `itertools.product` order.  The weights are L outer products with
+    the cell weights, taken left to right from 1 / (number of edge
+    pairs): the same multiplication order as one scalar `weight *= cw`
+    per coordinate, so every weight equals the scalar loop's bit for bit.
+    """
     L = ug.n_labels
     if L > MAX_LABELS:
         raise SizeGuardError(
@@ -227,47 +233,42 @@ def build_gadget(ug: UGInstance, q: float, rho: float) -> WeightedGraph:
             f"{ug.n_right} * 2^{L} = {ug.n_right * (1 << L)} vertices")
     dist = nu(q, rho)
     cells = [(cx, cy, w) for (cx, cy), w in dist.table().items() if w > 0.0]
-    n_pairs = sum(len(ug.edges_at(u)) ** 2 for u in range(ug.n_left))
+    degree = ug.degree
+    n_pairs = ug.n_left * degree * degree  # the left side is regular
     est = n_pairs * len(cells) ** L
     if est > MAX_EDGE_ENTRIES:
         raise SizeGuardError(
             f"refusing to enumerate ~{est} edge entries (> {MAX_EDGE_ENTRIES}); "
             f"{n_pairs} edge pairs x {len(cells)}^{L} tensor cells")
 
-    n_v = ug.n_right * (1 << L)
-    vertex_w = np.empty(n_v)
     base = biased_product_weights(q, L)
-    labels = []
-    for v in range(ug.n_right):
-        vertex_w[v << L: (v + 1) << L] = base / ug.n_right
-        labels.extend((v, x) for x in range(1 << L))
+    vertex_w = np.tile(base / ug.n_right, ug.n_right)
+    labels = tuple((v, x) for v in range(ug.n_right) for x in range(1 << L))
 
-    degree = ug.degree
-    norm = 1.0 / (ug.n_left * degree * degree)
-    ea: list[int] = []
-    eb: list[int] = []
-    ew: list[float] = []
-    for u in range(ug.n_left):
-        incident = ug.edges_at(u)
-        for v1, p1 in incident:
-            for v2, p2 in incident:
-                for combo in itertools.product(cells, repeat=L):
-                    weight = norm
-                    x = 0
-                    y = 0
-                    for i, (cx, cy, cw) in enumerate(combo):
-                        weight *= cw
-                        x |= cx << p1[i]
-                        y |= cy << p2[i]
-                    ea.append((v1 << L) | x)
-                    eb.append((v2 << L) | y)
-                    ew.append(weight)
+    cx, cy, cw = (np.array(col) for col in zip(*cells))
+    w = np.array([1.0 / n_pairs])
+    # edges grouped by left vertex, in instance order within each group
+    edges = sorted(ug.edges, key=lambda e: e[0])
+    n_edges = len(edges)
+    v_of = np.array([v for _, v, _ in edges], dtype=np.int64)
+    perms = np.array([p for _, _, p in edges], dtype=np.int64).reshape(n_edges, L)
+    x = np.zeros((n_edges, 1), dtype=np.int64)
+    y = np.zeros((n_edges, 1), dtype=np.int64)
+    for i in range(L):
+        w = (w[:, None] * cw).ravel()
+        shift = perms[:, i, None, None]
+        x = (x[:, :, None] | (cx << shift)).reshape(n_edges, -1)
+        y = (y[:, :, None] | (cy << shift)).reshape(n_edges, -1)
+    # pair (e1, e2) at u: endpoints (v1, x) from e1 and (v2, y) from e2
+    shape = (ug.n_left, degree, degree, w.size)
+    ends_a = ((v_of[:, None] << L) | x).reshape(ug.n_left, degree, 1, w.size)
+    ends_b = ((v_of[:, None] << L) | y).reshape(ug.n_left, 1, degree, w.size)
     return WeightedGraph(
         vertex_weights=vertex_w,
-        edge_a=np.asarray(ea, dtype=np.int64),
-        edge_b=np.asarray(eb, dtype=np.int64),
-        edge_w=np.asarray(ew),
-        labels=tuple(labels),
+        edge_a=np.broadcast_to(ends_a, shape).ravel(),
+        edge_b=np.broadcast_to(ends_b, shape).ravel(),
+        edge_w=np.tile(w, n_pairs),
+        labels=labels,
     )
 
 
@@ -284,13 +285,12 @@ def completeness_set(
         raise DomainError("labeling size mismatch")
     L = ug.n_labels
     mask = np.zeros(graph.n_vertices, dtype=bool)
+    xs = np.arange(1 << L)
     for v in range(ug.n_right):
         lab = z.right[v]
         if not (0 <= lab < L):
             raise DomainError(f"label {lab} out of range for vertex {v}")
-        for x in range(1 << L):
-            if (x >> lab) & 1:
-                mask[(v << L) | x] = True
+        mask[v << L: (v + 1) << L] = (xs >> lab) & 1
     _ = nu(q, rho)  # parameter validation
     return mask, graph.subset_weight(mask), graph.cut_weight(mask)
 
@@ -347,11 +347,16 @@ def density_profile(
 
     exact mode enumerates all subsets (guarded at 24 vertices) and is a
     true minimum over the weight window; local_search mode reports the
-    best found by seeded swap descent, an upper bound only.
+    best found by seeded swap descent, an upper bound only.  Each target
+    r is a fraction of the unit total vertex weight, so it must lie in
+    [0, 1].
     """
     rs = [float(r) for r in r_grid]
     if not rs:
         raise DomainError("r_grid must be nonempty")
+    for r in rs:
+        if not (0.0 <= r <= 1.0):
+            raise DomainError(f"target weight r must lie in [0, 1], got {r!r}")
     if tol_r is None:
         tol_r = float(np.max(graph.vertex_weights))
     n = graph.n_vertices
@@ -549,11 +554,16 @@ def parse_labeling(text: str, ug: UGInstance) -> Labeling:
 
 
 def format_graph(graph: WeightedGraph) -> str:
+    """Text form, weights as `.17g`; each distinct edge weight formatted once."""
     out = ["graph v1"]
-    for i, w in enumerate(graph.vertex_weights):
-        out.append(f"vertex {i + 1} {w:.17g}")
-    for a, b, w in zip(graph.edge_a, graph.edge_b, graph.edge_w):
-        out.append(f"edge {a + 1} {b + 1} {w:.17g}")
+    out += [f"vertex {i} {w:.17g}"
+            for i, w in enumerate(graph.vertex_weights.tolist(), start=1)]
+    # dedupe on the bit pattern, so -0.0 and 0.0 keep their own strings
+    ew = np.ascontiguousarray(graph.edge_w, dtype=np.float64)
+    bits, which = np.unique(ew.view(np.uint64), return_inverse=True)
+    text = [f"{w:.17g}" for w in bits.view(np.float64).tolist()]
+    out += [f"edge {a} {b} {text[k]}" for a, b, k in
+            zip((graph.edge_a + 1).tolist(), (graph.edge_b + 1).tolist(), which.tolist())]
     return "\n".join(out) + "\n"
 
 

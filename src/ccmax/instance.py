@@ -129,7 +129,9 @@ class CCInstance:
         for c in self.constraints:
             if not (0 <= c.i < self.n and 0 <= c.j < self.n):
                 raise DomainError(f"constraint ({c.i}, {c.j}) references missing variable")
-            if not (math.isfinite(c.weight) and c.weight >= 0.0):
+            if not math.isfinite(c.weight):
+                raise DomainError(f"weights must be finite, got {c.weight!r}")
+            if c.weight < 0.0:
                 raise DomainError(f"weights must be nonnegative, got {c.weight!r}")
             if c.kind not in _PROBLEM_KINDS[self.problem]:
                 raise DomainError(

@@ -116,6 +116,14 @@ class TestBrute:
         assert main(["brute", "--input", str(path)]) == 2
         assert "codec can't decode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("w", ["inf", "nan"])
+    def test_non_finite_weight(self, w, tmp_path, capsys):
+        path = tmp_path / "w.ccmax"
+        path.write_text(f"ccmax v1\nproblem cut\nvars 2\ncard 1\nc 1 2 {w} x-\n",
+                        encoding="utf-8")
+        assert main(["brute", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: weights must be finite, got {w}\n"
+
 
 class TestSolvePipeline:
     def test_sdp_and_gram_dump(self, cycle_file, tmp_path, capsys):
@@ -194,6 +202,17 @@ class TestGadgetPipeline:
         path.write_text(text, encoding="utf-8")
         assert main(["density", "--graph", str(path), "--mode", "exact"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("r", ["-1", "1.5", "nan"])
+    @pytest.mark.parametrize("mode", ["exact", "search"])
+    def test_density_rejects_target_weight_outside_unit_interval(self, r, mode, tmp_path,
+                                                                 capsys):
+        path = tmp_path / "one.graph"
+        path.write_text("graph v1\nvertex 1 1\nedge 1 1 1\n", encoding="utf-8")
+        assert main(["density", "--graph", str(path), "--mode", mode, "--r", "0.5", r]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: target weight r must lie in [0, 1]")
 
     def test_density_guard(self, tmp_path, capsys):
         ug, _ = random_ug(1, 1, 5, 1, seed=0)

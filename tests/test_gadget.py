@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ccmax.errors import DomainError, FormatError, SizeGuardError
 from ccmax.gadget import (
@@ -32,6 +33,94 @@ from ccmax.gaussian import gamma_rho
 from ccmax.instance import brute_force_opt, evaluate
 
 SINGLE_EDGE_UG = UGInstance(1, 1, 1, ((0, 0, (0,)),))
+
+
+def build_gadget_oracle(ug: UGInstance, q: float, rho: float) -> WeightedGraph:
+    """The scalar build: one `itertools.product` entry at a time."""
+    L = ug.n_labels
+    cells = [(cx, cy, w) for (cx, cy), w in nu(q, rho).table().items() if w > 0.0]
+    n_v = ug.n_right * (1 << L)
+    vertex_w = np.empty(n_v)
+    base = biased_product_weights_oracle(q, L)
+    labels = []
+    for v in range(ug.n_right):
+        vertex_w[v << L: (v + 1) << L] = base / ug.n_right
+        labels.extend((v, x) for x in range(1 << L))
+    degree = ug.degree
+    norm = 1.0 / (ug.n_left * degree * degree)
+    ea, eb, ew = [], [], []
+    for u in range(ug.n_left):
+        incident = [(v, perm) for uu, v, perm in ug.edges if uu == u]
+        for v1, p1 in incident:
+            for v2, p2 in incident:
+                for combo in itertools.product(cells, repeat=L):
+                    weight = norm
+                    x = 0
+                    y = 0
+                    for i, (cx, cy, cw) in enumerate(combo):
+                        weight *= cw
+                        x |= cx << p1[i]
+                        y |= cy << p2[i]
+                    ea.append((v1 << L) | x)
+                    eb.append((v2 << L) | y)
+                    ew.append(weight)
+    return WeightedGraph(vertex_weights=vertex_w, edge_a=np.asarray(ea, dtype=np.int64),
+                         edge_b=np.asarray(eb, dtype=np.int64), edge_w=np.asarray(ew),
+                         labels=tuple(labels))
+
+
+def biased_product_weights_oracle(q: float, n_labels: int) -> np.ndarray:
+    out = np.empty(1 << n_labels)
+    for x in range(1 << n_labels):
+        ones = bin(x).count("1")
+        out[x] = (q ** ones) * ((1.0 - q) ** (n_labels - ones))
+    return out
+
+
+def format_graph_oracle(graph: WeightedGraph) -> str:
+    """One `.17g` format per vertex and per edge entry."""
+    out = ["graph v1"]
+    for i, w in enumerate(graph.vertex_weights):
+        out.append(f"vertex {i + 1} {w:.17g}")
+    for a, b, w in zip(graph.edge_a, graph.edge_b, graph.edge_w):
+        out.append(f"edge {a + 1} {b + 1} {w:.17g}")
+    return "\n".join(out) + "\n"
+
+
+def extremal_rho(q: float) -> float:
+    m = min(q, 1.0 - q)
+    return -m / (1.0 - m)
+
+
+@st.composite
+def ug_shapes(draw, max_labels=6):
+    """A seeded `random_ug` with L = 1..max_labels and degree 1..3."""
+    n_left = draw(st.integers(1, 3))
+    degree = draw(st.integers(1, 3))
+    n_right = draw(st.sampled_from(
+        [r for r in range(1, n_left * degree + 1) if (n_left * degree) % r == 0]))
+    labels = draw(st.integers(1, max_labels))
+    seed = draw(st.integers(0, 1000))
+    return random_ug(n_left, n_right, labels, degree, seed=seed)[0]
+
+
+@st.composite
+def q_rho_pairs(draw):
+    """(q, rho) including extremal rho, rho = +-1 and pruned cells."""
+    q = draw(st.sampled_from([0.5, 0.365, 0.3, 0.7])
+             | st.floats(0.05, 0.95, allow_nan=False))
+    lo = extremal_rho(q)
+    rho = draw(st.sampled_from([lo, 1.0, 0.0]) | st.floats(lo, 1.0, allow_nan=False))
+    return q, rho
+
+
+def hand_made_graph(weights: list[float], loops: bool) -> WeightedGraph:
+    n = 3
+    m = len(weights)
+    a = np.arange(m, dtype=np.int64) % n
+    b = a if loops else (a + 1) % n
+    return WeightedGraph(vertex_weights=np.array([0.5, -0.0, 0.5]), edge_a=a, edge_b=b,
+                         edge_w=np.array(weights))
 
 
 class TestNu:
@@ -149,6 +238,57 @@ class TestBuildGadget:
             build_gadget(ug, 0.5, -0.5)  # 4^12 = 16.7M entries
 
 
+class TestBuildGadgetOracle:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(ug_shapes(), q_rho_pairs())
+    @example(random_ug(3, 2, 6, 2, seed=0)[0], (0.5, -1.0))  # p00 = p11 = 0
+    @example(random_ug(2, 2, 5, 3, seed=1)[0], (0.365, extremal_rho(0.365)))
+    @example(random_ug(3, 3, 4, 3, seed=2)[0], (0.7, 1.0))  # t = 0: no cross cells
+    @example(random_ug(1, 1, 1, 1, seed=3)[0], (0.3, 0.0))
+    def test_matches_scalar_loop_bit_for_bit(self, ug, pair):
+        q, rho = pair
+        got = build_gadget(ug, q, rho)
+        want = build_gadget_oracle(ug, q, rho)
+        assert np.array_equal(got.edge_a, want.edge_a)
+        assert np.array_equal(got.edge_b, want.edge_b)
+        assert got.edge_a.dtype == got.edge_b.dtype == np.int64
+        assert got.edge_w.tobytes() == want.edge_w.tobytes()
+        assert got.vertex_weights.tobytes() == want.vertex_weights.tobytes()
+        assert got.labels == want.labels
+
+    @pytest.mark.parametrize("q", [0.1, 0.365, 0.5, 0.7])
+    def test_biased_product_weights_match_scalar_loop(self, q):
+        for L in range(0, 11):
+            assert (biased_product_weights(q, L).tobytes()
+                    == biased_product_weights_oracle(q, L).tobytes())
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(ug_shapes(max_labels=5), st.data())
+    def test_completeness_mask_matches_bit_loop(self, ug, data):
+        right = tuple(data.draw(st.integers(0, ug.n_labels - 1)) for _ in range(ug.n_right))
+        z = Labeling(left=(0,) * ug.n_left, right=right)
+        g = build_gadget(ug, 0.4, -0.3)
+        mask, _, _ = completeness_set(ug, z, g, 0.4, -0.3)
+        L = ug.n_labels
+        want = np.array([bool((x >> right[v]) & 1) for v in range(ug.n_right)
+                         for x in range(1 << L)])
+        assert mask.dtype == bool
+        assert np.array_equal(mask, want)
+
+
+class TestInternalWeight:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_w_between_same_set(self, seed):
+        ug, _ = random_ug(3, 3, 4, 2, seed=seed)
+        g = build_gadget(ug, 0.4, -0.3)
+        loops = hand_made_graph([0.25, 0.0, 0.5, 0.25], loops=True)
+        rng = np.random.default_rng(seed)
+        for graph in (g, loops):
+            for _ in range(20):
+                mask = rng.random(graph.n_vertices) < 0.5
+                assert graph.internal_weight(mask) == graph.w_between(mask, mask)
+
+
 class TestCompleteness:
     def test_fully_satisfied_exact(self):
         for seed in range(3):
@@ -240,6 +380,19 @@ class TestDensityProfile:
         exact = density_profile(g, [0.4], mode="exact", tol_r=0.05)
         search = density_profile(g, [0.4], mode="local_search", tol_r=0.05, seed=3)
         assert search.samples[0].min_density_found >= exact.samples[0].min_density_found - 1e-12
+
+    @pytest.mark.parametrize("r", [-1.0, -1e-300, 1.5, 1.0 + 1e-15, math.inf,
+                                   -math.inf, math.nan])
+    def test_rejects_target_weight_no_subset_can_have(self, r):
+        g = build_gadget(SINGLE_EDGE_UG, 0.5, 0.0)
+        for mode in ("exact", "local_search"):
+            with pytest.raises(DomainError, match=r"\[0, 1\]"):
+                density_profile(g, [0.5, r], mode=mode)
+
+    def test_accepts_both_ends_of_the_unit_interval(self):
+        g = build_gadget(SINGLE_EDGE_UG, 0.5, 0.0)
+        prof = density_profile(g, [0.0, 1.0], mode="exact", tol_r=1e-9)
+        assert [s.min_density_found for s in prof.samples] == [0.0, 1.0]
 
     def test_bad_mode_and_empty_grid(self):
         g = build_gadget(SINGLE_EDGE_UG, 0.5, 0.0)
@@ -348,6 +501,58 @@ class TestFileFormats:
         ug, _ = random_ug(2, 2, 2, 1, seed=0)
         with pytest.raises(FormatError):
             parse_labeling("labeling v1\nu 1 1\n", ug)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(ug_shapes(max_labels=5), q_rho_pairs())
+    @example(random_ug(3, 2, 5, 2, seed=0)[0], (0.5, -1.0))
+    def test_format_graph_matches_per_line_oracle(self, ug, pair):
+        g = build_gadget(ug, *pair)
+        assert format_graph(g) == format_graph_oracle(g)
+
+    @pytest.mark.parametrize("weights", [
+        [0.0, -0.0, 0.25, -0.0, 0.0],  # both zeros, each keeping its sign
+        [-0.0, 0.1, 0.1, 0.1, 0.2, 0.1],  # repeated weights
+        [5e-324, 1e300, 0.1 + 0.2, 0.3, 1.0 / 3.0],  # subnormal, huge, neighbours
+        [],
+    ])
+    @pytest.mark.parametrize("loops", [False, True])
+    def test_format_graph_hand_made(self, weights, loops):
+        g = hand_made_graph(weights, loops)
+        text = format_graph(g)
+        assert text == format_graph_oracle(g)
+        signs = [math.copysign(1.0, float(ln.rsplit(" ", 1)[1]))
+                 for ln in text.splitlines() if ln.startswith("edge ")]
+        assert signs == [math.copysign(1.0, w) for w in weights]
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_graph_round_trip_bit_exact(self, data):
+        weights = st.floats(0.0, 1e300, allow_nan=False) | st.just(-0.0)
+        n = data.draw(st.integers(1, 6))
+        m = data.draw(st.integers(0, 12))
+        ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+        g = WeightedGraph(
+            vertex_weights=np.array(data.draw(st.lists(weights, min_size=n, max_size=n))),
+            edge_a=np.array(data.draw(ends), dtype=np.int64),
+            edge_b=np.array(data.draw(ends), dtype=np.int64),
+            edge_w=np.array(data.draw(st.lists(weights, min_size=m, max_size=m)), dtype=float))
+        text = format_graph(g)
+        back = parse_graph(text)
+        assert back.vertex_weights.tobytes() == g.vertex_weights.tobytes()
+        assert back.edge_w.tobytes() == g.edge_w.tobytes()
+        assert np.array_equal(back.edge_a, g.edge_a)
+        assert np.array_equal(back.edge_b, g.edge_b)
+        assert format_graph(back) == text
+        # a line losing its last field, or a misspelt keyword, is refused
+        lines = text.splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        cut = lines[:i] + [lines[i].rsplit(" ", 1)[0]] + lines[i + 1:]
+        with pytest.raises(FormatError):
+            parse_graph("\n".join(cut) + "\n")
+        word = lines[i].split(" ", 1)
+        bad = lines[:i] + [" ".join(["x" + word[0]] + word[1:])] + lines[i + 1:]
+        with pytest.raises(FormatError):
+            parse_graph("\n".join(bad) + "\n")
 
     def test_graph_rejects_no_vertices(self):
         with pytest.raises(FormatError, match="at least one vertex"):

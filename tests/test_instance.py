@@ -322,6 +322,13 @@ c 2 3 0.25 x-
             # OR tag on a cut instance
             parse_instance("ccmax v1\nproblem cut\nvars 2\ncard 1\nc 1 2 1.0 oo\n")
 
+    @pytest.mark.parametrize("w", ["inf", "-inf", "nan"])
+    def test_parse_rejects_non_finite_weight_as_non_finite(self, w):
+        with pytest.raises(FormatError, match=f"weights must be finite, got {w}"):
+            parse_instance(f"ccmax v1\nproblem cut\nvars 2\ncard 1\nc 1 2 {w} x-\n")
+        with pytest.raises(FormatError, match="weights must be nonnegative, got -2.0"):
+            parse_instance("ccmax v1\nproblem cut\nvars 2\ncard 1\nc 1 2 -2.0 x-\n")
+
     def test_problem_kind_validation(self):
         with pytest.raises(DomainError):
             CCInstance(n=2, k=1, constraints=(Constraint(0, 1, 1.0, Or((-1, -1, -1))),),
