@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -50,6 +51,15 @@ from .instance import CCInstance, Constraint, Or, Xor
 MAX_LABELS = 14
 MAX_EXACT_DENSITY_VERTICES = 24
 MAX_EDGE_ENTRIES = 5_000_000
+
+
+def _degrees(ends: Iterator[int], n: int) -> set[int]:
+    """Distinct degrees of vertices 0..n-1, counted over the edge ends only.
+
+    Nothing is sized by n, so a huge declared side costs no memory.
+    """
+    counts = Counter(ends)
+    return set(counts.values()) | ({0} if len(counts) < n else set())
 
 
 @dataclass(frozen=True)
@@ -64,19 +74,17 @@ class UGInstance:
     def __post_init__(self):
         if self.n_left < 1 or self.n_right < 1 or self.n_labels < 1:
             raise DomainError("unique games instance needs nonempty sides and labels")
-        degs = [0] * self.n_left
+        if not self.edges:
+            raise DomainError("unique games instance needs at least one edge")
         for u, v, perm in self.edges:
             if not (0 <= u < self.n_left and 0 <= v < self.n_right):
                 raise DomainError(f"edge ({u}, {v}) out of range")
             if sorted(perm) != list(range(self.n_labels)):
                 raise DomainError(f"edge ({u}, {v}) permutation is not a bijection: {perm}")
-            degs[u] += 1
-        if len(set(degs)) != 1:
-            raise DomainError(f"left side must be regular, got degrees {sorted(set(degs))}")
-        rdegs = [0] * self.n_right
-        for _, v, _ in self.edges:
-            rdegs[v] += 1
-        if len(set(rdegs)) != 1:
+        degs = _degrees((u for u, _, _ in self.edges), self.n_left)
+        if len(degs) != 1:
+            raise DomainError(f"left side must be regular, got degrees {sorted(degs)}")
+        if len(_degrees((v for _, v, _ in self.edges), self.n_right)) != 1:
             warnings.warn(
                 "unique games instance is not right-regular; gadget half-incidence "
                 "invariants will not hold exactly", stacklevel=2)

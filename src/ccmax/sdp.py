@@ -47,7 +47,9 @@ from .curves import triangle_violation
 from .errors import DomainError
 from .instance import CCInstance, Xor, as_assignment, greedy_assignment
 
-check_triangle = triangle_violation
+# first gradient step of every restart; it grows 5% after each accepted step
+# and halves after each rejected one
+STEP = 0.02
 
 # the four triangle forms as sign rows on (mu_i, mu_j, rho_ij)
 _TRI_SIGNS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
@@ -89,7 +91,6 @@ class SolveOptions:
     max_iters: int = 50_000
     tol: float = 1e-6
     seed: int = 0
-    step: float = 0.02
 
 
 def relax(inst: CCInstance) -> SDPProblem:
@@ -152,8 +153,8 @@ def residuals_from_vectors(problem: SDPProblem, vectors: np.ndarray) -> dict[str
         bal = abs(float(np.sum(mu)) - problem.balance_target)
     tri = 0.0
     for p, q in problem.triangle_pairs:
-        tri = max(tri, check_triangle(float(mu[p - 1]), float(mu[q - 1]),
-                                      float(vectors[p] @ vectors[q])))
+        tri = max(tri, triangle_violation(float(mu[p - 1]), float(mu[q - 1]),
+                                          float(vectors[p] @ vectors[q])))
     norms = np.linalg.norm(vectors, axis=1)
     return {
         "balance": bal,
@@ -291,7 +292,7 @@ def solve(
         lam = 0.0
         sigma_bal = 10.0
         sigma_tri = 10.0
-        eta = opts.step
+        eta = STEP
         prev_loss = math.inf
         stall = 0
         last_resid = math.inf

@@ -3,6 +3,11 @@
 Each suite returns rows (name, measured, bound, ok) where `measured`
 must stay at or below `bound`.  Statistical rows use fixed seeds and
 4-sigma bands so a correct build passes deterministically.
+
+The acceptance tests check criteria 1, 5, 6, 8 and 9 through this
+module: they read the rows of `suite_gamma` and `suite_curves`, and
+loop over `draw_pair_configs`, `pair_rounding_errors` and
+`gadget_deviations` with their own seeds and sizes.
 """
 
 from __future__ import annotations
@@ -14,7 +19,17 @@ from typing import Callable
 import numpy as np
 
 from . import curves, gadget, rounding
-from .gaussian import gamma_rho, std_normal_cdf, std_normal_inv, std_normal_pdf
+from .gaussian import gamma_rho_vec, std_normal_cdf_vec, std_normal_inv_vec, std_normal_pdf
+
+# marginal levels 0.05 .. 0.95 and correlations -0.95 .. 0.95 of the gamma grid rows
+GAMMA_XS = np.arange(0.05, 0.9501, 0.05)
+GAMMA_RHOS = np.arange(-0.95, 0.9501, 0.1)
+# (q, rho) of every gadget checked: the alpha_cut minimiser with its matching rho, and q = 1/2
+GADGET_PARAMS = ((0.365, -0.365 / 0.635), (0.5, -0.5))
+GADGET_INVARIANTS = ("total_vertex_weight", "total_edge_weight", "half_incidence",
+                     "subset_weight_identity", "completeness_set_weight",
+                     "completeness_cut_weight")
+PAIR_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -30,59 +45,42 @@ class CheckRow:
 
 
 def suite_gamma(seed: int = 0) -> list[CheckRow]:
-    rows = []
-    xs = np.arange(0.05, 0.9501, 0.05)
-    rhos = np.arange(-0.95, 0.9501, 0.1)
+    R, X, Y = np.meshgrid(GAMMA_RHOS, GAMMA_XS, GAMMA_XS, indexing="ij")
+    reflected = gamma_rho_vec(R, 1.0 - X, 1.0 - Y) - 1.0 + X + Y
+    reflection = float(np.max(np.abs(gamma_rho_vec(R, X, Y) - reflected)))
 
-    worst = 0.0
-    for rho in rhos:
-        for x in xs:
-            for y in xs:
-                a = gamma_rho(float(rho), float(x), float(y))
-                b = gamma_rho(float(rho), float(1 - x), float(1 - y)) - 1 + x + y
-                worst = max(worst, abs(a - b))
-    rows.append(CheckRow("gamma", "reflection_identity_grid", worst, 1e-9))
+    X, Y = X[0], Y[0]
+    closed = max(float(np.max(np.abs(gamma_rho_vec(0.0, X, Y) - X * Y))),
+                 float(np.max(np.abs(gamma_rho_vec(1.0, X, Y) - np.minimum(X, Y)))),
+                 float(np.max(np.abs(gamma_rho_vec(-1.0, X, Y) - np.maximum(0.0, X + Y - 1.0)))))
 
-    worst = 0.0
-    for x in xs[::3]:
-        for y in xs[::3]:
-            worst = max(worst, abs(gamma_rho(0.0, float(x), float(y)) - x * y))
-            worst = max(worst, abs(gamma_rho(1.0, float(x), float(y)) - min(x, y)))
-            worst = max(worst, abs(gamma_rho(-1.0, float(x), float(y)) - max(0.0, x + y - 1)))
-    rows.append(CheckRow("gamma", "closed_forms_at_unit_rho", worst, 1e-12))
-
+    # the 500 (rho, x, y) draws of the Philox stream, in draw order
     rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
-    worst_lo = 0.0
-    worst_sym = 0.0
-    for _ in range(500):
-        rho = float(rng.uniform(-1, 1))
-        x = float(rng.uniform(0, 1))
-        y = float(rng.uniform(0, 1))
-        v = gamma_rho(rho, x, y)
-        worst_lo = max(worst_lo, max(0.0, x + y - 1) - v, v - min(x, y))
-        worst_sym = max(worst_sym, abs(v - gamma_rho(rho, y, x)))
-    rows.append(CheckRow("gamma", "frechet_bounds_random", worst_lo, 0.0))
-    rows.append(CheckRow("gamma", "argument_symmetry_random", worst_sym, 0.0))
+    rho, x, y = rng.uniform([-1.0, 0.0, 0.0], 1.0, size=(500, 3)).T
+    v = gamma_rho_vec(rho, x, y)
+    frechet = max(0.0, float(np.max(np.maximum(0.0, x + y - 1) - v)),
+                  float(np.max(v - np.minimum(x, y))))
+    symmetry = float(np.max(np.abs(v - gamma_rho_vec(rho, y, x))))
 
-    worst = 0.0
-    grid = np.linspace(-0.99, 0.99, 67)
-    for x, y in ((0.25, 0.7), (0.5, 0.5), (0.9, 0.15)):
-        vals = [gamma_rho(float(r), x, y) for r in grid]
-        worst = max(worst, max(a - b for a, b in zip(vals, vals[1:])))
-    rows.append(CheckRow("gamma", "monotone_in_rho", worst, 1e-13))
+    along_rho = gamma_rho_vec(np.linspace(-0.99, 0.99, 67),
+                              np.array([[0.25], [0.5], [0.9]]), np.array([[0.7], [0.5], [0.15]]))
+    monotone = max(0.0, float(np.max(along_rho[:, :-1] - along_rho[:, 1:])))
 
-    worst_x = 0.0
-    worst_p = 0.0
-    for x in np.linspace(-5.4, 5.4, 55):
-        p = std_normal_cdf(float(x))
-        worst_x = max(worst_x, abs(std_normal_inv(p) - x))
-        worst_p = max(worst_p, abs(std_normal_cdf(std_normal_inv(p)) - p))
-    rows.append(CheckRow("gamma", "quantile_round_trip_x", worst_x, 1e-9))
-    rows.append(CheckRow("gamma", "quantile_round_trip_p", worst_p, 1e-10))
-    rows.append(CheckRow(
-        "gamma", "pdf_at_zero",
-        abs(std_normal_pdf(0.0) - 1.0 / math.sqrt(2 * math.pi)), 1e-15))
-    return rows
+    xs = np.linspace(-5.4, 5.4, 55)
+    p = std_normal_cdf_vec(xs)
+    inv = std_normal_inv_vec(p)
+    return [
+        CheckRow("gamma", "reflection_identity_grid", reflection, 1e-9),
+        CheckRow("gamma", "closed_forms_at_unit_rho", closed, 1e-12),
+        CheckRow("gamma", "frechet_bounds_random", frechet, 0.0),
+        CheckRow("gamma", "argument_symmetry_random", symmetry, 0.0),
+        CheckRow("gamma", "monotone_in_rho", monotone, 1e-13),
+        CheckRow("gamma", "quantile_round_trip_x", float(np.max(np.abs(inv - xs))), 1e-9),
+        CheckRow("gamma", "quantile_round_trip_p",
+                 float(np.max(np.abs(std_normal_cdf_vec(inv) - p))), 1e-10),
+        CheckRow("gamma", "pdf_at_zero",
+                 abs(std_normal_pdf(0.0) - 1.0 / math.sqrt(2 * math.pi)), 1e-15),
+    ]
 
 
 def suite_curves(seed: int = 0) -> list[CheckRow]:
@@ -122,73 +120,86 @@ def suite_curves(seed: int = 0) -> list[CheckRow]:
     return rows
 
 
+def gadget_deviations(ug: gadget.UGInstance, hidden: gadget.Labeling, q: float, rho: float,
+                      rng: np.random.Generator) -> tuple[float, ...]:
+    """Deviations of one gadget from its invariants, in `GADGET_INVARIANTS` order.
+
+    Total vertex and edge weight 1; each vertex weight half its incident
+    weight; coverage = subset weight + cut / 2 on 100 random subsets drawn
+    from `rng`; the completeness set of `hidden` has weight q and cut
+    weight 2 q (1-q) (1-rho).
+    """
+    g = gadget.build_gadget(ug, q, rho)
+    eq1 = 0.0
+    for _ in range(100):
+        mask = rng.random(g.n_vertices) < rng.uniform(0.2, 0.8)
+        lhs = g.coverage_weight(mask)
+        rhs = g.subset_weight(mask) + 0.5 * g.cut_weight(mask)
+        eq1 = max(eq1, abs(lhs - rhs))
+    _, w_s, cut = gadget.completeness_set(ug, hidden, g, q, rho)
+    return (abs(g.total_vertex_weight() - 1.0), abs(g.total_edge_weight() - 1.0),
+            float(np.max(np.abs(g.vertex_weights - g.incident_weights() / 2.0))),
+            eq1, abs(w_s - q), abs(cut - 2 * q * (1 - q) * (1 - rho)))
+
+
 def suite_graph_invariants(seed: int = 0) -> list[CheckRow]:
-    rows = []
-    params = [(0.365, -0.365 / 0.635), (0.5, -0.5)]
-    shapes = [(3, 3, 3, 2), (4, 2, 4, 2), (2, 4, 3, 2)]
-    worst_wv = worst_we = worst_half = worst_eq1 = 0.0
-    worst_ws = worst_cut = 0.0
+    worst = [0.0] * len(GADGET_INVARIANTS)
     rng = np.random.Generator(np.random.Philox(key=[seed, 7]))
-    for si, (U, V, L, D) in enumerate(shapes):
+    for si, (U, V, L, D) in enumerate([(3, 3, 3, 2), (4, 2, 4, 2), (2, 4, 3, 2)]):
         ug, hidden = gadget.random_ug(U, V, L, D, seed=seed + si)
-        for q, rho in params:
-            g = gadget.build_gadget(ug, q, rho)
-            worst_wv = max(worst_wv, abs(g.total_vertex_weight() - 1.0))
-            worst_we = max(worst_we, abs(g.total_edge_weight() - 1.0))
-            worst_half = max(worst_half, float(np.max(np.abs(
-                g.vertex_weights - g.incident_weights() / 2.0))))
-            for _ in range(100):
-                mask = rng.random(g.n_vertices) < rng.uniform(0.2, 0.8)
-                lhs = g.coverage_weight(mask)
-                rhs = g.subset_weight(mask) + 0.5 * g.cut_weight(mask)
-                worst_eq1 = max(worst_eq1, abs(lhs - rhs))
-            _, w_s, cut = gadget.completeness_set(ug, hidden, g, q, rho)
-            t = (q - q * q) * (1 - rho)
-            worst_ws = max(worst_ws, abs(w_s - q))
-            worst_cut = max(worst_cut, abs(cut - 2 * t))
-    rows.append(CheckRow("graph-invariants", "total_vertex_weight", worst_wv, 1e-12))
-    rows.append(CheckRow("graph-invariants", "total_edge_weight", worst_we, 1e-12))
-    rows.append(CheckRow("graph-invariants", "half_incidence", worst_half, 1e-12))
-    rows.append(CheckRow("graph-invariants", "subset_weight_identity", worst_eq1, 1e-12))
-    rows.append(CheckRow("graph-invariants", "completeness_set_weight", worst_ws, 1e-12))
-    rows.append(CheckRow("graph-invariants", "completeness_cut_weight", worst_cut, 1e-12))
-    return rows
+        for q, rho in GADGET_PARAMS:
+            worst = list(map(max, worst, gadget_deviations(ug, hidden, q, rho, rng)))
+    return [CheckRow("graph-invariants", name, w, 1e-12)
+            for name, w in zip(GADGET_INVARIANTS, worst)]
 
 
-def suite_rounding_stats(seed: int = 0, samples: int = 100_000) -> list[CheckRow]:
-    rows = []
-    rng = np.random.Generator(np.random.Philox(key=[seed, 3]))
+def draw_pair_configs(rng: np.random.Generator, count: int) -> list[tuple[float, float, float]]:
+    """`count` (mu1, mu2, rho) triples from `rng`, rho inside the triangle inequalities."""
     configs = []
-    while len(configs) < 6:
+    while len(configs) < count:
         m1, m2 = rng.uniform(-0.9, 0.9, 2)
-        lo = -1 + abs(m1 + m2)
-        hi = 1 - abs(m1 - m2)
-        if hi <= lo:
-            continue
-        configs.append((float(m1), float(m2), float(rng.uniform(lo, hi))))
+        lo, hi = -1 + abs(m1 + m2), 1 - abs(m1 - m2)
+        if hi > lo:
+            configs.append((float(m1), float(m2), float(rng.uniform(lo, hi))))
+    return configs
 
-    worst_mu_z = 0.0
-    worst_pair_z = 0.0
-    for i, (m1, m2, rho) in enumerate(configs):
-        s1, s2, s12 = rounding.simulate_pair_products(m1, m2, rho, samples, seed=seed + i)
+
+def pair_rounding_errors(configs: list[tuple[float, float, float]],
+                         seeds: list[int]) -> tuple[float, float, float]:
+    """(max marginal |z|, max pair-product |z|, ratio floor margin) of threshold rounding.
+
+    Config i is simulated with `PAIR_SAMPLES` samples from `seeds[i]`.  The
+    margin is the least (1 - E[y1 y2]) / (1 - rho) less (alpha_cut min - 1e-6)
+    over the configs with rho < 1; it is inf when there are none.
+    """
+    z_mu = z_pair = 0.0
+    for (m1, m2, rho), seed in zip(configs, seeds):
+        s1, s2, s12 = rounding.simulate_pair_products(m1, m2, rho, PAIR_SAMPLES, seed=seed)
         for mu, emp in ((m1, s1), (m2, s2)):
-            se = math.sqrt((1 - mu * mu) / samples) + 1e-12
-            worst_mu_z = max(worst_mu_z, abs(emp - mu) / se)
+            se = math.sqrt((1 - mu * mu) / PAIR_SAMPLES) + 1e-12
+            z_mu = max(z_mu, abs(emp - mu) / se)
         e = rounding.expected_pair_product(m1, m2, rho)
-        se = math.sqrt(max(1e-12, 1 - e * e) / samples)
-        worst_pair_z = max(worst_pair_z, abs(s12 - e) / se)
-    rows.append(CheckRow("rounding-stats", "marginal_mean_zscore", worst_mu_z, 4.0))
-    rows.append(CheckRow("rounding-stats", "pair_product_zscore", worst_pair_z, 4.0))
+        se = math.sqrt(max(1e-12, 1 - e * e) / PAIR_SAMPLES)
+        z_pair = max(z_pair, abs(s12 - e) / se)
 
     _, alpha = curves.find_local_min_q(curves.alpha_cut, 0.3, 0.45, tol=1e-8)
-    worst_ratio_gap = 0.0
+    margin = math.inf
     for m1, m2, rho in configs:
         if rho >= 1 - 1e-9:
             continue
         ratio = (1 - rounding.expected_pair_product(m1, m2, rho)) / (1 - rho)
-        worst_ratio_gap = max(worst_ratio_gap, alpha - 1e-6 - ratio)
-    rows.append(CheckRow("rounding-stats", "per_constraint_ratio_floor", worst_ratio_gap, 0.0))
-    return rows
+        margin = min(margin, ratio - (alpha - 1e-6))
+    return z_mu, z_pair, margin
+
+
+def suite_rounding_stats(seed: int = 0) -> list[CheckRow]:
+    configs = draw_pair_configs(np.random.Generator(np.random.Philox(key=[seed, 3])), 6)
+    z_mu, z_pair, margin = pair_rounding_errors(configs, [seed + i for i in range(6)])
+    return [
+        CheckRow("rounding-stats", "marginal_mean_zscore", z_mu, 4.0),
+        CheckRow("rounding-stats", "pair_product_zscore", z_pair, 4.0),
+        CheckRow("rounding-stats", "per_constraint_ratio_floor", max(0.0, -margin), 0.0),
+    ]
 
 
 SUITES: dict[str, Callable[[int], list[CheckRow]]] = {

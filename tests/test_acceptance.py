@@ -3,18 +3,19 @@
 Each test prints a PASS line on success (run with -s to see them); the
 expensive pipelines are exposed as pure functions so the determinism
 criterion can re-run them and compare byte-identical artifacts.
+Criteria 1, 5, 6, 8 and 9 measure through `ccmax.verify`: they read its
+suite rows or call its measurement functions with their own seeds.
 """
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
 import pytest
 
-from ccmax import curves, gadget, rounding, sdp
-from ccmax.gaussian import gamma_rho, gamma_rho_vec
+from ccmax import curves, gadget, rounding, sdp, verify
+from ccmax.gaussian import gamma_rho
 from ccmax.instance import brute_force_opt, cardinality, random_instance
 
 ACCEPT = "ACCEPTANCE {num} PASS: {msg}"
@@ -65,42 +66,27 @@ GADGET_SHAPES = [
     (2, 2, 2, 1), (3, 3, 3, 2), (4, 2, 4, 2), (2, 4, 3, 2), (5, 5, 2, 2),
     (6, 3, 3, 2), (3, 6, 4, 2), (4, 4, 5, 1), (6, 6, 6, 1), (2, 2, 6, 2),
 ]
-GADGET_PARAMS = [(0.365, -0.365 / 0.635), (0.5, -0.5)]
 
 
 def run_gadget_suite() -> tuple[dict, str]:
-    worst = {"wv": 0.0, "we": 0.0, "half": 0.0, "eq1": 0.0, "ws": 0.0, "cut": 0.0}
+    worst = dict.fromkeys(verify.GADGET_INVARIANTS, 0.0)
     lines = ["shape,q,rho,wv_dev,we_dev,half_dev,eq1_dev,ws_dev,cut_dev"]
     rng = np.random.default_rng(99)
     for si, (U, V, L, D) in enumerate(GADGET_SHAPES):
         ug, hidden = gadget.random_ug(U, V, L, D, seed=300 + si)
-        for q, rho in GADGET_PARAMS:
-            g = gadget.build_gadget(ug, q, rho)
-            d_wv = abs(g.total_vertex_weight() - 1.0)
-            d_we = abs(g.total_edge_weight() - 1.0)
-            d_half = float(np.max(np.abs(g.vertex_weights - g.incident_weights() / 2)))
-            d_eq1 = 0.0
-            for _ in range(100):
-                mask = rng.random(g.n_vertices) < rng.uniform(0.2, 0.8)
-                lhs = g.coverage_weight(mask)
-                rhs = g.subset_weight(mask) + 0.5 * g.cut_weight(mask)
-                d_eq1 = max(d_eq1, abs(lhs - rhs))
-            _, w_s, cut = gadget.completeness_set(ug, hidden, g, q, rho)
-            t = (q - q * q) * (1 - rho)
-            d_ws = abs(w_s - q)
-            d_cut = abs(cut - 2 * q * (1 - q) * (1 - rho))
-            for key, val in zip(("wv", "we", "half", "eq1", "ws", "cut"),
-                                (d_wv, d_we, d_half, d_eq1, d_ws, d_cut)):
+        for q, rho in verify.GADGET_PARAMS:
+            devs = verify.gadget_deviations(ug, hidden, q, rho, rng)
+            for key, val in zip(verify.GADGET_INVARIANTS, devs):
                 worst[key] = max(worst[key], val)
-            lines.append(f"({U};{V};{L};{D}),{q},{rho:.12g},{d_wv:.3g},{d_we:.3g},"
-                         f"{d_half:.3g},{d_eq1:.3g},{d_ws:.3g},{d_cut:.3g}")
+            lines.append(f"({U};{V};{L};{D}),{q},{rho:.12g},"
+                         + ",".join(f"{d:.3g}" for d in devs))
 
     # exhaustive density study on <= 20-vertex gadgets
     density_lines = []
     density_ok = True
     for shape_seed, (U, V, L, D) in [(41, (1, 1, 4, 1)), (42, (2, 2, 3, 1))]:
         ug, hidden = gadget.random_ug(U, V, L, D, seed=shape_seed)
-        for q, rho in GADGET_PARAMS:
+        for q, rho in verify.GADGET_PARAMS:
             g = gadget.build_gadget(ug, q, rho)
             assert g.n_vertices <= 20
             mask, w_s, _ = gadget.completeness_set(ug, hidden, g, q, rho)
@@ -155,30 +141,27 @@ def gadget_suite_artifact():
     return stats, text, time.perf_counter() - t0
 
 
+@pytest.fixture(scope="module")
+def curves_rows():
+    return {row.name: row for row in verify.suite_curves()}
+
+
+def check_rows(rows: dict[str, verify.CheckRow], bounds: dict[str, float]) -> None:
+    """Each named row is held to the criterion's own bound, and passes it."""
+    for name, bound in bounds.items():
+        assert rows[name].bound == bound and rows[name].ok, rows[name]
+
+
 def test_criterion_1_gamma_engine():
     t0 = time.perf_counter()
-    xs = np.arange(0.05, 0.9501, 0.05)
-    rhos = np.arange(-0.95, 0.9501, 0.1)
-    R, X, Y = np.meshgrid(rhos, xs, xs, indexing="ij")
-    direct = gamma_rho_vec(R, X, Y)
-    reflected = gamma_rho_vec(R, 1.0 - X, 1.0 - Y) - 1.0 + X + Y
-    residual = float(np.max(np.abs(direct - reflected)))
-    assert residual < 1e-9
-
-    worst_closed = 0.0
-    for x in xs:
-        for y in xs:
-            x, y = float(x), float(y)
-            worst_closed = max(
-                worst_closed,
-                abs(gamma_rho(0.0, x, y) - x * y),
-                abs(gamma_rho(1.0, x, y) - min(x, y)),
-                abs(gamma_rho(-1.0, x, y) - max(0.0, x + y - 1.0)))
-    assert worst_closed <= 1e-12
+    rows = {row.name: row for row in verify.suite_gamma()}
     elapsed = time.perf_counter() - t0
+    check_rows(rows, {"reflection_identity_grid": 1e-9, "closed_forms_at_unit_rho": 1e-12})
     assert elapsed < 5.0
-    print(ACCEPT.format(num=1, msg=f"identity residual {residual:.2e}, closed forms "
-                                   f"{worst_closed:.2e}, {elapsed:.2f}s"))
+    print(ACCEPT.format(num=1, msg=f"identity residual "
+                                   f"{rows['reflection_identity_grid'].measured:.2e}, closed "
+                                   f"forms {rows['closed_forms_at_unit_rho'].measured:.2e}, "
+                                   f"{elapsed:.2f}s"))
 
 
 def test_criterion_2_figure_cut(cut_curve_artifact):
@@ -224,39 +207,32 @@ def test_criterion_4_figure_2sat():
                                    f"[0.464, 0.536], symmetry dev {sym:.1e}"))
 
 
-def test_criterion_5_global_minima():
+def test_criterion_5_global_minima(curves_rows):
+    check_rows(curves_rows, {"alpha_cut_min_value": 1e-3, "alpha_cut_argmin": 3e-3,
+                             "alpha_2sat_min_value": 1e-3, "alpha_2sat_argmin": 3e-3})
     qm_cut, v_cut = curves.find_local_min_q(curves.alpha_cut, 0.3, 0.45, tol=1e-7)
-    assert v_cut == pytest.approx(0.858, abs=1e-3)
-    assert qm_cut == pytest.approx(0.365, abs=3e-3)
     mu_star = 1 - 2 * qm_cut
     assert mu_star == pytest.approx(0.27, abs=1e-2)
     assert -qm_cut / (1 - qm_cut) == pytest.approx(-0.575, abs=5e-3)
-
-    qm_2s, v_2s = curves.find_local_min_q(curves.alpha_2sat, 0.3, 0.45, tol=1e-7)
-    assert v_2s == pytest.approx(0.929, abs=1e-3)
-    assert qm_2s == pytest.approx(0.365, abs=3e-3)
 
     res = curves.full_conf_alpha_cut(grid_density=32)
     assert res.value == pytest.approx(v_cut, abs=1e-3)
     cfg = res.configuration
     assert cfg.mu1 == pytest.approx(cfg.mu2, abs=1e-2)
     assert cfg.rho == pytest.approx(-1 + 2 * abs(cfg.mu1), abs=1e-2)
+    dev_2s = curves_rows["alpha_2sat_min_value"].measured
     print(ACCEPT.format(num=5, msg=f"alpha_cut min {v_cut:.6f}@{qm_cut:.4f}, "
-                                   f"alpha_2sat min {v_2s:.6f}@{qm_2s:.4f}, "
+                                   f"alpha_2sat min 0.929 + {dev_2s:.1e}, "
                                    f"full-conf {res.value:.6f}@"
                                    f"({cfg.mu1:.3f},{cfg.mu2:.3f},{cfg.rho:.3f})"))
 
 
-def test_criterion_6_matching_identities():
-    qs = np.linspace(0.02, 0.48, 200)
-    worst_cut = max(abs(curves.alpha_cut(float(q)) - curves.beta_cut(float(q), -q / (1 - q)))
-                    for q in qs)
-    worst_2s = max(abs(curves.alpha_2sat(float(q)) - curves.beta_vc(float(q), -q / (1 - q)))
-                   for q in qs)
-    assert worst_cut < 1e-10
-    assert worst_2s < 1e-10
-    print(ACCEPT.format(num=6, msg=f"identity residuals cut {worst_cut:.2e}, "
-                                   f"2sat {worst_2s:.2e} over 200 samples"))
+def test_criterion_6_matching_identities(curves_rows):
+    check_rows(curves_rows, {"matching_identity_cut": 1e-10, "matching_identity_2sat": 1e-10})
+    print(ACCEPT.format(num=6, msg=f"identity residuals cut "
+                                   f"{curves_rows['matching_identity_cut'].measured:.2e}, 2sat "
+                                   f"{curves_rows['matching_identity_2sat'].measured:.2e} "
+                                   f"over 200 samples"))
 
 
 def test_criterion_7_sdp_rounding_suite(solver_suite_artifact):
@@ -271,33 +247,12 @@ def test_criterion_7_sdp_rounding_suite(solver_suite_artifact):
 
 
 def test_criterion_8_rounding_statistics():
-    rng = np.random.Generator(np.random.Philox(key=[77, 0]))
-    configs = []
-    while len(configs) < 20:
-        m1, m2 = rng.uniform(-0.9, 0.9, 2)
-        lo, hi = -1 + abs(m1 + m2), 1 - abs(m1 - m2)
-        if hi > lo:
-            configs.append((float(m1), float(m2), float(rng.uniform(lo, hi))))
-    samples = 100_000
-    worst_z_mu = worst_z_pair = 0.0
-    for i, (m1, m2, rho) in enumerate(configs):
-        s1, s2, s12 = rounding.simulate_pair_products(m1, m2, rho, samples, seed=600 + i)
-        for mu, emp in ((m1, s1), (m2, s2)):
-            se = math.sqrt((1 - mu * mu) / samples) + 1e-12
-            worst_z_mu = max(worst_z_mu, abs(emp - mu) / se)
-        e = rounding.expected_pair_product(m1, m2, rho)
-        se = math.sqrt(max(1e-12, 1 - e * e) / samples)
-        worst_z_pair = max(worst_z_pair, abs(s12 - e) / se)
+    configs = verify.draw_pair_configs(np.random.Generator(np.random.Philox(key=[77, 0])), 20)
+    assert verify.PAIR_SAMPLES == 100_000
+    worst_z_mu, worst_z_pair, worst_margin = verify.pair_rounding_errors(
+        configs, [600 + i for i in range(20)])
     assert worst_z_mu <= 4.0
     assert worst_z_pair <= 4.0
-
-    _, alpha = curves.find_local_min_q(curves.alpha_cut, 0.3, 0.45, tol=1e-8)
-    worst_margin = math.inf
-    for m1, m2, rho in configs:
-        if rho >= 1 - 1e-9:
-            continue
-        ratio = (1 - rounding.expected_pair_product(m1, m2, rho)) / (1 - rho)
-        worst_margin = min(worst_margin, ratio - (alpha - 1e-6))
     assert worst_margin >= 0.0
     print(ACCEPT.format(num=8, msg=f"max |z| marginal {worst_z_mu:.2f}, pair "
                                    f"{worst_z_pair:.2f}; ratio floor margin "

@@ -214,6 +214,20 @@ class TestGadgetPipeline:
         assert out == ""
         assert err.startswith("error: target weight r must lie in [0, 1]")
 
+    @pytest.mark.parametrize("command", ["gadget", "completeness"])
+    def test_ug_without_edges(self, command, tmp_path, capsys):
+        ug_path = tmp_path / "empty.ug"
+        ug_path.write_text("ug v1\nleft 1\nright 1\nlabels 2\ndegree 0\n", encoding="utf-8")
+        lab_path = tmp_path / "empty.labeling"
+        lab_path.write_text("labeling v1\nu 1 1\nv 1 1\n", encoding="utf-8")
+        extra = (["--out", str(tmp_path / "g.graph")] if command == "gadget"
+                 else ["--labeling", str(lab_path)])
+        argv = [command, "--ug", str(ug_path), "--q", "0.4", "--rho", "-0.3"] + extra
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: unique games instance needs at least one edge\n"
+
     def test_density_guard(self, tmp_path, capsys):
         ug, _ = random_ug(1, 1, 5, 1, seed=0)
         ug_path = tmp_path / "b.ug"
@@ -225,9 +239,26 @@ class TestGadgetPipeline:
                      "--eps", "0"]) == 3
 
 
+VERIFY_ROWS = {
+    "gamma": ["reflection_identity_grid", "closed_forms_at_unit_rho", "frechet_bounds_random",
+              "argument_symmetry_random", "monotone_in_rho", "quantile_round_trip_x",
+              "quantile_round_trip_p", "pdf_at_zero"],
+    "curves": ["matching_identity_cut", "matching_identity_2sat", "cut_curve_symmetry",
+               "flattened_dominates", "flattened_vc_monotone", "ratios_inside_unit_interval",
+               "alpha_cut_min_value", "alpha_cut_argmin", "alpha_2sat_min_value",
+               "alpha_2sat_argmin"],
+    "graph-invariants": ["total_vertex_weight", "total_edge_weight", "half_incidence",
+                         "subset_weight_identity", "completeness_set_weight",
+                         "completeness_cut_weight"],
+    "rounding-stats": ["marginal_mean_zscore", "pair_product_zscore",
+                       "per_constraint_ratio_floor"],
+}
+
+
 class TestVerifyCommand:
-    def test_gamma_suite_passes(self, capsys):
-        assert main(["verify", "--suite", "gamma", "--seed", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS gamma.reflection_identity_grid" in out
-        assert "FAIL" not in out
+    @pytest.mark.parametrize("suite", VERIFY_ROWS)
+    def test_suite_passes(self, suite, capsys):
+        assert main(["verify", "--suite", suite, "--seed", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.split()[1] for ln in lines] == [f"{suite}.{row}" for row in VERIFY_ROWS[suite]]
+        assert all(ln.startswith("PASS ") for ln in lines)

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mutations import cut_short, one_token_replaced
 
-from ccmax.errors import DomainError, FormatError, SizeGuardError
+from ccmax.errors import CcmaxError, DomainError, FormatError, SizeGuardError
 from ccmax.gadget import (
     Labeling,
     NuDistribution,
@@ -473,9 +475,20 @@ class TestUGModel:
 
 
 class TestFileFormats:
-    def test_ug_round_trip(self):
-        ug, _ = random_ug(3, 3, 3, 2, seed=5)
-        assert parse_ug(format_ug(ug)) == ug
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(ug_shapes(max_labels=12), st.data())
+    def test_ug_round_trip(self, ug, data):
+        text = format_ug(ug)
+        assert parse_ug(text) == ug
+        for bad in (data.draw(cut_short(text)), data.draw(one_token_replaced(text))):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # a token can break right-regularity
+                    parse_ug(bad)
+            except CcmaxError:
+                pass
+        with pytest.raises(FormatError):
+            parse_ug(data.draw(one_token_replaced(text, st.just("?"))))
 
     def test_graph_round_trip(self):
         g = build_gadget(SINGLE_EDGE_UG, 0.365, -0.4)
@@ -484,18 +497,32 @@ class TestFileFormats:
         assert np.array_equal(g.edge_w, g2.edge_w)
         assert np.array_equal(g.edge_a, g2.edge_a)
 
-    def test_labeling_round_trip(self):
-        ug, hidden = random_ug(2, 2, 3, 1, seed=1)
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(ug_shapes(max_labels=12), st.data())
+    def test_labeling_round_trip(self, ug, data):
+        labels = st.integers(0, ug.n_labels - 1)
+        z = Labeling(
+            left=tuple(data.draw(st.lists(labels, min_size=ug.n_left, max_size=ug.n_left))),
+            right=tuple(data.draw(st.lists(labels, min_size=ug.n_right, max_size=ug.n_right))))
         text = "labeling v1\n" + "\n".join(
-            [f"u {i + 1} {lab + 1}" for i, lab in enumerate(hidden.left)]
-            + [f"v {j + 1} {lab + 1}" for j, lab in enumerate(hidden.right)]) + "\n"
-        assert parse_labeling(text, ug) == hidden
+            [f"u {i + 1} {lab + 1}" for i, lab in enumerate(z.left)]
+            + [f"v {j + 1} {lab + 1}" for j, lab in enumerate(z.right)]) + "\n"
+        assert parse_labeling(text, ug) == z
+        for bad in (data.draw(cut_short(text)), data.draw(one_token_replaced(text))):
+            try:
+                parse_labeling(bad, ug)
+            except CcmaxError:
+                pass
+        with pytest.raises(FormatError):
+            parse_labeling(data.draw(one_token_replaced(text, st.just("?"))), ug)
 
     def test_parse_errors(self):
         with pytest.raises(FormatError):
             parse_ug("nope\n")
         with pytest.raises(FormatError):
             parse_ug("ug v1\nleft 1\nright 1\nlabels 2\ndegree 1\ne 1 1 1\n")
+        with pytest.raises(FormatError, match="regular"):  # nothing is sized by the side
+            parse_ug(f"ug v1\nleft {10**20}\nright 1\nlabels 1\ndegree 1\ne 1 1 1\n")
         with pytest.raises(FormatError):
             parse_graph("graph v1\nvertex 2 0.5\n")  # ids must cover 1..n
         ug, _ = random_ug(2, 2, 2, 1, seed=0)

@@ -6,10 +6,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from mutations import cut_short, one_token_replaced
 
-from ccmax.errors import DomainError, FormatError, SizeGuardError
+from ccmax.errors import CcmaxError, DomainError, FormatError, SizeGuardError
 from ccmax.instance import (
+    _PROBLEM_KINDS,
     CCInstance,
     Constraint,
     Or,
@@ -285,12 +287,32 @@ class TestFlipGains:
             flip_gains(cycle_cut_instance(4, 2), [1, 0, 1, -1])
 
 
+@st.composite
+def any_instances(draw) -> CCInstance:
+    """Self-loops, zero and extreme weights: anything `CCInstance` accepts."""
+    n = draw(st.integers(1, 12))
+    problem = draw(st.sampled_from(sorted(_PROBLEM_KINDS)))
+    cons = draw(st.lists(st.builds(
+        Constraint, st.integers(0, n - 1), st.integers(0, n - 1),
+        st.floats(0.0, 1e300) | st.just(-0.0),
+        st.sampled_from(sorted(_PROBLEM_KINDS[problem], key=repr))), max_size=8))
+    assume(not cons or sum(c.weight for c in cons) > 0.0)
+    return CCInstance(n=n, k=draw(st.integers(0, n)), constraints=tuple(cons), problem=problem)
+
+
 class TestFileFormat:
-    def test_round_trip(self):
-        inst = random_instance(7, 3, 11, problem="2sat", seed=8)
-        again = parse_instance(format_instance(inst))
-        assert again.n == inst.n and again.k == inst.k and again.problem == inst.problem
-        assert again.constraints == inst.constraints
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(any_instances(), st.data())
+    def test_round_trip(self, inst, data):
+        text = format_instance(inst)
+        assert parse_instance(text) == inst
+        for bad in (data.draw(cut_short(text)), data.draw(one_token_replaced(text))):
+            try:
+                parse_instance(bad)
+            except CcmaxError:
+                pass
+        with pytest.raises(FormatError):
+            parse_instance(data.draw(one_token_replaced(text, st.just("?"))))
 
     def test_parse_with_comments_and_spacing(self):
         text = """\

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ccmax.curves import triangle_violation
 from ccmax.errors import DomainError
 from ccmax.instance import (
     CCInstance,
@@ -22,7 +23,6 @@ from ccmax.sdp import (
     SDPSolution,
     _Operators,
     SolveOptions,
-    check_triangle,
     gram_matrix,
     objective_from_vectors,
     relax,
@@ -102,15 +102,15 @@ class TestRelax:
 
 class TestCheckTriangle:
     def test_boundary_point(self):
-        assert check_triangle(0.0, 0.0, -1.0) == 0.0
+        assert triangle_violation(0.0, 0.0, -1.0) == 0.0
 
     def test_violation_amount(self):
-        assert check_triangle(0.5, 0.5, -0.5) == pytest.approx(0.5)
+        assert triangle_violation(0.5, 0.5, -0.5) == pytest.approx(0.5)
 
     def test_integral_points_feasible(self):
         for a in (-1, 1):
             for b in (-1, 1):
-                assert check_triangle(a, b, a * b) == 0.0
+                assert triangle_violation(a, b, a * b) == 0.0
 
 
 class TestSolve:
