@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, curves, gadget, rounding, sdp, verify
 from .errors import CcmaxError, DomainError, SizeGuardError
 from .gaussian import gamma_rho
-from .instance import brute_force_opt, cardinality, evaluate, parse_instance
+from .instance import CCInstance, brute_force_opt, cardinality, parse_instance
 
 _BRUTE_SEED_MAX_N = 18
 
@@ -81,15 +81,18 @@ def _cmd_brute(args) -> int:
     return 0
 
 
-def _solve_options(args) -> sdp.SolveOptions:
-    return sdp.SolveOptions(
+def _relax_and_solve(args) -> tuple[CCInstance, float | None, sdp.SDPSolution]:
+    """Parse the input and solve its relaxation, seeded with the brute-force optimum
+    when n <= 18.  Returns the instance, that optimum (None for larger n), the solution."""
+    inst = parse_instance(Path(args.input).read_text(encoding="utf-8"))
+    opt_a, opt = brute_force_opt(inst) if inst.n <= _BRUTE_SEED_MAX_N else (None, None)
+    opts = sdp.SolveOptions(
         restarts=args.restarts, max_iters=args.max_iters, tol=args.tol, seed=args.seed)
+    return inst, opt, sdp.solve_instance(inst, opts, integral_seed=opt_a)
 
 
 def _cmd_sdp(args) -> int:
-    inst = parse_instance(Path(args.input).read_text(encoding="utf-8"))
-    opt_a = brute_force_opt(inst)[0] if inst.n <= _BRUTE_SEED_MAX_N else None
-    sol = sdp.solve_instance(inst, _solve_options(args), integral_seed=opt_a)
+    _, _, sol = _relax_and_solve(args)
     print(f"objective {_fmt(sol.objective_value)}")
     print(f"converged {int(sol.converged)}")
     print(f"restart {sol.restart_index}")
@@ -106,10 +109,7 @@ def _cmd_sdp(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    inst = parse_instance(Path(args.input).read_text(encoding="utf-8"))
-    small = inst.n <= _BRUTE_SEED_MAX_N
-    opt_a, opt = brute_force_opt(inst) if small else (None, None)
-    sol = sdp.solve_instance(inst, _solve_options(args), integral_seed=opt_a)
+    inst, opt, sol = _relax_and_solve(args)
     report = rounding.round_best_of(sol, inst, rounds=args.rounds, seed=args.seed)
     kv: list[tuple[str, str]] = [
         ("sdp_objective", _fmt(sol.objective_value)),
@@ -125,7 +125,7 @@ def _cmd_solve(args) -> int:
         ("pre_repair_gap_max", _fmt(report.pre_repair_gap_max)),
         ("repair_flips", ",".join(str(f) for f in report.repair_flips)),
     ]
-    if small:
+    if opt is not None:
         kv.append(("brute_force_optval", _fmt(opt)))
         kv.append(("realized_ratio", _fmt(report.best_value / opt if opt > 0 else 1.0)))
     for key, val in kv:
@@ -218,22 +218,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.set_defaults(func=_cmd_brute)
 
-    p = sub.add_parser("sdp", help="solve the vector relaxation")
-    p.add_argument("--input", required=True)
-    p.add_argument("--restarts", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=50_000)
-    p.add_argument("--tol", type=float, default=1e-6)
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--input", required=True)
+    solver.add_argument("--restarts", type=int, default=3)
+    solver.add_argument("--seed", type=int, default=0)
+    solver.add_argument("--max-iters", type=int, default=50_000)
+    solver.add_argument("--tol", type=float, default=1e-6)
+
+    p = sub.add_parser("sdp", parents=[solver], help="solve the vector relaxation")
     p.add_argument("--dump-gram")
     p.set_defaults(func=_cmd_sdp)
 
-    p = sub.add_parser("solve", help="relaxation + threshold rounding")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("solve", parents=[solver], help="relaxation + threshold rounding")
     p.add_argument("--rounds", type=int, default=200)
-    p.add_argument("--restarts", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=50_000)
-    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_solve)
 

@@ -46,7 +46,7 @@ from typing import Iterator, Literal, Sequence
 import numpy as np
 
 from .errors import DomainError, FormatError, SizeGuardError
-from .instance import CCInstance, Constraint, Or, Xor
+from .instance import CCInstance, Constraint, Or, Xor, by_id, read_columns, read_lines
 
 MAX_LABELS = 14
 MAX_EXACT_DENSITY_VERTICES = 24
@@ -239,6 +239,9 @@ def build_gadget(ug: UGInstance, q: float, rho: float) -> WeightedGraph:
         raise SizeGuardError(
             f"refusing to build gadget with {L} labels (> {MAX_LABELS}): "
             f"{ug.n_right} * 2^{L} = {ug.n_right * (1 << L)} vertices")
+    if ug.n_right << L > MAX_EDGE_ENTRIES:
+        raise SizeGuardError(f"refusing to build gadget with {ug.n_right} * 2^{L} = "
+                             f"{ug.n_right << L} vertices (> {MAX_EDGE_ENTRIES})")
     dist = nu(q, rho)
     cells = [(cx, cy, w) for (cx, cy), w in dist.table().items() if w > 0.0]
     degree = ug.degree
@@ -492,36 +495,16 @@ def random_ug(
 
 
 def parse_ug(text: str) -> UGInstance:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0].split() != ["ug", "v1"]:
-        raise FormatError("missing 'ug v1' header")
-    header: dict[str, int] = {}
-    idx = 1
-    for key in ("left", "right", "labels", "degree"):
-        if idx >= len(lines):
-            raise FormatError(f"missing '{key}' line")
-        parts = lines[idx].split()
-        if len(parts) != 2 or parts[0] != key:
-            raise FormatError(f"expected '{key} <int>', got {lines[idx]!r}")
-        try:
-            header[key] = int(parts[1])
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
-        idx += 1
-    edges = []
-    for ln in lines[idx:]:
-        parts = ln.split()
-        if parts[0] != "e" or len(parts) != 3 + header["labels"]:
-            raise FormatError(f"bad edge line: {ln!r}")
-        try:
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            perm = tuple(int(p) - 1 for p in parts[3:])
-        except ValueError as exc:
-            raise FormatError(f"bad edge line {ln!r}: {exc}") from exc
-        edges.append((u, v, perm))
+    header, rows = read_lines(text, "ug", dict.fromkeys(("left", "right", "labels", "degree"), int),
+                              ("e",))
+    L = header["labels"]
+    e = rows["e"]
+    if e.widths and e.widths[0] != 3 + L:  # before a type tuple is sized by L
+        raise FormatError(f"bad line: {e.line(0)!r}")
+    u, v, *perm = read_columns(e, (int,) * (2 + L)) if e.widths and L > 0 else ([], [])
+    edges = tuple((a - 1, b - 1, tuple(p - 1 for p in ps)) for a, b, ps in zip(u, v, zip(*perm)))
     try:
-        ug = UGInstance(header["left"], header["right"], header["labels"], tuple(edges))
+        ug = UGInstance(header["left"], header["right"], L, edges)
     except DomainError as exc:
         raise FormatError(str(exc)) from exc
     if ug.degree != header["degree"]:
@@ -538,27 +521,14 @@ def format_ug(ug: UGInstance) -> str:
 
 
 def parse_labeling(text: str, ug: UGInstance) -> Labeling:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0].split() != ["labeling", "v1"]:
-        raise FormatError("missing 'labeling v1' header")
-    left = [-1] * ug.n_left
-    right = [-1] * ug.n_right
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3 or parts[0] not in ("u", "v"):
-            raise FormatError(f"bad labeling line: {ln!r}")
-        try:
-            idx, lab = int(parts[1]) - 1, int(parts[2]) - 1
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
-        side = left if parts[0] == "u" else right
-        if not (0 <= idx < len(side)) or not (0 <= lab < ug.n_labels):
-            raise FormatError(f"labeling entry out of range: {ln!r}")
-        side[idx] = lab
-    if -1 in left or -1 in right:
-        raise FormatError("labeling does not cover every vertex")
-    return Labeling(left=tuple(left), right=tuple(right))
+    _, rows = read_lines(text, "labeling", {}, ("u", "v"))
+    sides = []
+    for keyword, n in (("u", ug.n_left), ("v", ug.n_right)):
+        ids, labels = read_columns(rows[keyword], (int, int))
+        if labels and not 1 <= min(labels) <= max(labels) <= ug.n_labels:
+            raise FormatError(f"'{keyword}' labels must lie in 1..{ug.n_labels}")
+        sides.append(tuple(lab - 1 for lab in by_id(ids, labels, n, keyword)))
+    return Labeling(left=sides[0], right=sides[1])
 
 
 def format_graph(graph: WeightedGraph) -> str:
@@ -576,31 +546,14 @@ def format_graph(graph: WeightedGraph) -> str:
 
 
 def parse_graph(text: str) -> WeightedGraph:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0].split() != ["graph", "v1"]:
-        raise FormatError("missing 'graph v1' header")
-    vw: dict[int, float] = {}
-    edges: list[tuple[int, int, float]] = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        try:
-            if parts[0] == "vertex" and len(parts) == 3:
-                vw[int(parts[1]) - 1] = float(parts[2])
-            elif parts[0] == "edge" and len(parts) == 4:
-                edges.append((int(parts[1]) - 1, int(parts[2]) - 1, float(parts[3])))
-            else:
-                raise FormatError(f"bad graph line: {ln!r}")
-        except (ValueError, IndexError) as exc:
-            raise FormatError(f"bad graph line {ln!r}: {exc}") from exc
-    n = max(vw) + 1 if vw else 0
-    if sorted(vw) != list(range(n)):
-        raise FormatError("vertex ids must cover 1..n")
-    weights = np.array([vw[i] for i in range(n)])
-    ea = np.array([a for a, _, _ in edges], dtype=np.int64)
-    eb = np.array([b for _, b, _ in edges], dtype=np.int64)
-    ew = np.array([w for _, _, w in edges])
+    _, rows = read_lines(text, "graph", {}, ("vertex", "edge"))
+    ids, weights = read_columns(rows["vertex"], (int, float))
+    a, b, w = read_columns(rows["edge"], (int, int, float))
+    if a and not 1 <= min(a + b) <= max(a + b) <= len(ids):
+        raise FormatError("edge endpoint out of range")
     try:
-        return WeightedGraph(vertex_weights=weights, edge_a=ea, edge_b=eb, edge_w=ew)
+        return WeightedGraph(vertex_weights=np.array(by_id(ids, weights, len(ids), "vertex")),
+                             edge_a=np.array(a, dtype=np.int64) - 1,
+                             edge_b=np.array(b, dtype=np.int64) - 1, edge_w=np.array(w))
     except DomainError as exc:
         raise FormatError(str(exc)) from exc

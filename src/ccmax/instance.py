@@ -17,8 +17,8 @@ convention the plain clause "xi or xj" -- the coverage constraint -- is
 therefore (1, 1, -1), and (-1, -1, -1) is "not xi or not xj".  The four
 admissible payloads are the same four tuples either way.
 
-Instance file grammar (line oriented, '#' starts a comment, 1-based
-variable indices):
+Instance file grammar (1-based variable indices; the shared line
+grammar is `read_lines`):
 
     ccmax v1
     problem <cut|2lin|2sat|kvc>
@@ -31,9 +31,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from operator import itemgetter
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -218,7 +220,8 @@ def brute_force_opt(inst: CCInstance, batch: int = 16384) -> tuple[np.ndarray, f
 
     Enumerates k-subsets in batches and evaluates them vectorized.
     Ties resolve to the lexicographically smallest value vector
-    (-1 sorts before +1).  Guarded at n <= 28.
+    (-1 sorts before +1): the last maximum met, as combinations come in
+    strictly decreasing lexicographic order.  Guarded at n <= 28.
     """
     if inst.n > BRUTE_FORCE_MAX_VARS:
         raise SizeGuardError(
@@ -235,15 +238,9 @@ def brute_force_opt(inst: CCInstance, batch: int = 16384) -> tuple[np.ndarray, f
         if inst.k:
             np.put_along_axis(rows, idx, 1, axis=1)
         vals = evaluate_many(inst, rows)
-        top = float(np.max(vals))
-        if top > best_val:
-            best_val = top
-            best_row = None
-        if top == best_val:
-            for r in np.nonzero(vals == best_val)[0]:
-                row = rows[r]
-                if best_row is None or tuple(row) < tuple(best_row):
-                    best_row = row.copy()
+        last = vals.size - 1 - int(np.argmax(vals[::-1]))
+        if vals[last] >= best_val:
+            best_val, best_row = float(vals[last]), rows[last]
     assert best_row is not None
     return best_row, best_val
 
@@ -311,54 +308,96 @@ def greedy_assignment(inst: CCInstance) -> np.ndarray:
     return a
 
 
+class Rows(NamedTuple):
+    """The rows of one keyword: their tokens end to end, and each row's count."""
+
+    tokens: list[str]
+    widths: list[int]
+
+    def line(self, r: int) -> str:
+        """Row `r` as text, for error messages."""
+        start = sum(self.widths[:r])
+        return " ".join(self.tokens[start:start + self.widths[r]])
+
+
+def read_lines(text: str, magic: str, header: Mapping[str, type],
+               keywords: Iterable[str]) -> tuple[dict[str, Any], dict[str, Rows]]:
+    """The line grammar every ccmax text format shares.
+
+    '#' starts a comment and blank lines are skipped.  The first line is
+    `<magic> v1`, then come the `key value` lines of `header`, each key
+    once in any order, then rows that start with one of `keywords`.
+    Returns the header values, converted by their types, and each
+    keyword's rows in file order, tokens in one flat list: a list per
+    line would leave the garbage collector that many containers to scan.
+    """
+    # a comment runs to the end of its line, by the line breaks of str.splitlines
+    text = re.sub("#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*", "", text)
+    lines = filter(None, map(str.split, text.splitlines()))
+    if next(lines, None) != [magic, "v1"]:
+        raise FormatError(f"missing '{magic} v1' header")
+    rows = {kw: Rows([], []) for kw in (*header, *keywords)}
+    in_body = False
+    for key, run in itertools.groupby(lines, itemgetter(0)):
+        in_body = in_body or key not in header
+        if key not in rows or (in_body and key in header):
+            raise FormatError(f"unexpected line: {' '.join(next(run))!r}")
+        tokens, widths = rows[key]
+        for parts in run:
+            tokens += parts
+            widths.append(len(parts))
+    head = {}
+    for key, convert in header.items():
+        count = len(rows[key].widths)
+        if count != 1:
+            raise FormatError(f"'{key}' given {count} times" if count else f"missing '{key}' line")
+        head[key] = read_columns(rows.pop(key), (convert,))[0][0]
+    return head, rows
+
+
+def read_columns(rows: Rows, types: Sequence[type]) -> list[list]:
+    """The fields after the keyword, one list per type; every row has one
+    field per type.  A column converts in one `map`, and is scanned again
+    only when that fails, to name the first bad line."""
+    width = len(types) + 1
+    if rows.widths.count(width) != len(rows.widths):
+        r = next(r for r, w in enumerate(rows.widths) if w != width)
+        raise FormatError(f"bad line: {rows.line(r)!r}")
+    out = []
+    for k, convert in enumerate(types, 1):
+        column = rows.tokens[k::width]
+        try:
+            out.append(list(map(convert, column)))
+        except ValueError:
+            for r, field in enumerate(column):
+                try:
+                    convert(field)
+                except ValueError as exc:
+                    raise FormatError(f"bad line {rows.line(r)!r}: {exc}") from exc
+    return out
+
+
+def by_id(ids: list[int], values: list, n: int, keyword: str) -> list:
+    """`values` ordered by their 1-based `ids`, exactly 1..n, each once.  Nothing
+    is sized by n or by an id unless the file holds n rows."""
+    if len(ids) != n or sorted(ids) != list(range(1, n + 1)):
+        raise FormatError(f"'{keyword}' ids must be exactly 1..{n}, each once")
+    return [value for _, value in sorted(zip(ids, values))]
+
+
 def parse_instance(text: str) -> CCInstance:
     """Parse the line-oriented instance format (see module docstring)."""
-    lines = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
-    if not lines or lines[0].split() != ["ccmax", "v1"]:
-        raise FormatError("missing 'ccmax v1' header")
-
-    header: dict[str, str] = {}
-    body_start = 1
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "c":
-            break
-        if parts[0] not in ("problem", "vars", "card") or len(parts) != 2:
-            raise FormatError(f"unexpected header line: {ln!r}")
-        header[parts[0]] = parts[1]
-        body_start += 1
-    for key in ("problem", "vars", "card"):
-        if key not in header:
-            raise FormatError(f"missing '{key}' line")
+    head, rows = read_lines(text, "ccmax", {"problem": str, "vars": int, "card": int}, ("c",))
+    n = head["vars"]
+    i, j, w, tags = read_columns(rows["c"], (int, int, float, str))
+    if unknown := set(tags) - _TAG_TO_KIND.keys():
+        raise FormatError(f"unknown constraint tags {sorted(unknown)}")
+    if i and not 1 <= min(i + j) <= max(i + j) <= n:
+        raise FormatError(f"constraint indices out of range 1..{n}")
+    constraints = tuple(map(Constraint, [a - 1 for a in i], [b - 1 for b in j], w,
+                            map(_TAG_TO_KIND.__getitem__, tags)))
     try:
-        n = int(header["vars"])
-        k = int(header["card"])
-    except ValueError as exc:
-        raise FormatError(f"vars/card must be integers: {exc}") from exc
-    problem = header["problem"]
-
-    constraints = []
-    for ln in lines[body_start:]:
-        parts = ln.split()
-        if parts[0] != "c" or len(parts) != 5:
-            raise FormatError(f"bad constraint line: {ln!r}")
-        try:
-            i = int(parts[1])
-            j = int(parts[2])
-            w = float(parts[3])
-        except ValueError as exc:
-            raise FormatError(f"bad constraint line {ln!r}: {exc}") from exc
-        if parts[4] not in _TAG_TO_KIND:
-            raise FormatError(f"unknown constraint tag {parts[4]!r} in line {ln!r}")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise FormatError(f"constraint indices out of range in line {ln!r}")
-        constraints.append(Constraint(i - 1, j - 1, w, _TAG_TO_KIND[parts[4]]))
-    try:
-        return CCInstance(n=n, k=k, constraints=tuple(constraints), problem=problem)
+        return CCInstance(n=n, k=head["card"], constraints=constraints, problem=head["problem"])
     except DomainError as exc:
         raise FormatError(str(exc)) from exc
 

@@ -44,12 +44,17 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .curves import triangle_violation
-from .errors import DomainError
+from .errors import DomainError, SizeGuardError
 from .instance import CCInstance, Xor, as_assignment, greedy_assignment
 
 # first gradient step of every restart; it grows 5% after each accepted step
 # and halves after each rejected one
 STEP = 0.02
+
+# Bytes the dense (n+1)^2 float64 arrays may take.  The solver holds five at once
+# (M_obj, B, and in dloss_dgram the balance term, the triangle scatter and their
+# sum), greedy_assignment two.  relax refuses 5 * 8 * (n+1)^2 > 1 GiB: n > 5180.
+MAX_DENSE_BYTES = 1 << 30
 
 # the four triangle forms as sign rows on (mu_i, mu_j, rho_ij)
 _TRI_SIGNS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
@@ -95,6 +100,10 @@ class SolveOptions:
 
 def relax(inst: CCInstance) -> SDPProblem:
     """Build the relaxation; objective coefficients in Gram entries."""
+    dense = 5 * 8 * (inst.n + 1) ** 2
+    if dense > MAX_DENSE_BYTES:
+        raise SizeGuardError(f"relaxation refused: n={inst.n} needs 5 dense (n+1)^2 "
+                             f"arrays, {dense} bytes (> {MAX_DENSE_BYTES})")
     terms: dict[tuple[int, int], float] = {}
     offset = 0.0
     pairs: set[tuple[int, int]] = set()
@@ -405,9 +414,10 @@ def solve_instance(
     optimum) passes it as `integral_seed`; otherwise the seed is
     `greedy_assignment(inst)`.
     """
+    problem = relax(inst)
     if integral_seed is None:
         integral_seed = greedy_assignment(inst)
-    return solve(relax(inst), opts, integral_seed=integral_seed)
+    return solve(problem, opts, integral_seed=integral_seed)
 
 
 def unconstrained(problem: SDPProblem) -> SDPProblem:

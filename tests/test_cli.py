@@ -228,6 +228,25 @@ class TestGadgetPipeline:
         assert out == ""
         assert err == "error: unique games instance needs at least one edge\n"
 
+    # 306 * 2^14 is just past the bound, where only 4^14 edge entries follow
+    @pytest.mark.parametrize("right, labels", [(10**20, 1), (306, 14)])
+    def test_gadget_vertex_guard(self, right, labels, tmp_path, capsys):
+        # edges reach one right vertex; the gadget would still have one per declared one
+        ug_path = tmp_path / "wide.ug"
+        perm = " ".join(str(p) for p in range(1, labels + 1))
+        ug_path.write_text(f"ug v1\nleft 1\nright {right}\nlabels {labels}\ndegree 1\n"
+                           f"e 1 1 {perm}\n", encoding="utf-8")
+        graph_path = tmp_path / "wide.graph"
+        with pytest.warns(UserWarning, match="right-regular"):
+            code = main(["gadget", "--ug", str(ug_path), "--q", "0.4", "--rho", "-0.3",
+                         "--out", str(graph_path)])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"refused: refusing to build gadget with {right} * 2^{labels} = "
+                       f"{right << labels} vertices (> 5000000)\n")
+        assert not graph_path.exists()
+
     def test_density_guard(self, tmp_path, capsys):
         ug, _ = random_ug(1, 1, 5, 1, seed=0)
         ug_path = tmp_path / "b.ug"
@@ -237,6 +256,54 @@ class TestGadgetPipeline:
                      "--out", str(graph_path)]) == 0
         assert main(["density", "--graph", str(graph_path), "--mode", "exact",
                      "--eps", "0"]) == 3
+
+
+
+TWO_LABEL_UG = "ug v1\nleft 1\nright 1\nlabels 2\ndegree 1\ne 1 1 1 2\n"
+
+
+class TestRefusedInputs:
+    @pytest.mark.parametrize("command, text, message", [
+        ("brute", "ccmax v1\nproblem cut\nvars 2\ncard 1\nvars 2\nc 1 2 1 x-\n",
+         "'vars' given 2 times"),
+        ("gadget", "ug v1\nleft 1\nright 1\nleft 1\nlabels 1\ndegree 1\ne 1 1 1\n",
+         "'left' given 2 times"),
+        ("completeness", "labeling v1\nu 1 1\nu 1 2\nv 1 1\n",
+         "'u' ids must be exactly 1..1, each once"),
+        ("density", "graph v1\nvertex 1 0.5\nvertex 1 0.25\nedge 1 1 1\n",
+         "'vertex' ids must be exactly 1..2, each once"),
+        ("density", f"graph v1\nvertex {10**20} 0.5\n",
+         "'vertex' ids must be exactly 1..1, each once"),
+    ])
+    def test_exit_2_with_the_reason(self, command, text, message, tmp_path, capsys):
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        ug_path = tmp_path / "two.ug"
+        ug_path.write_text(TWO_LABEL_UG, encoding="utf-8")
+        argv = {
+            "brute": ["brute", "--input", str(path)],
+            "gadget": ["gadget", "--ug", str(path), "--q", "0.4", "--rho", "-0.3",
+                       "--out", str(tmp_path / "g.graph")],
+            "completeness": ["completeness", "--ug", str(ug_path), "--labeling", str(path),
+                             "--q", "0.4", "--rho", "-0.3"],
+            "density": ["density", "--graph", str(path), "--mode", "exact"],
+        }[command]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["sdp", "solve"])
+    @pytest.mark.parametrize("n", [200_000, 10**20])
+    def test_solver_refuses_what_its_dense_arrays_cannot_hold(self, command, n, tmp_path,
+                                                              capsys):
+        path = tmp_path / "wide.ccmax"
+        path.write_text(f"ccmax v1\nproblem cut\nvars {n}\ncard 1\nc 1 2 1 x-\n",
+                        encoding="utf-8")
+        assert main([command, "--input", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"refused: relaxation refused: n={n} needs 5 dense")
 
 
 VERIFY_ROWS = {

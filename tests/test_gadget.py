@@ -4,12 +4,20 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mutations import cut_short, one_token_replaced
+from format_oracles import (
+    agrees,
+    parse_graph_oracle,
+    parse_labeling_oracle,
+    parse_ug_oracle,
+    same_graph,
+)
+from mutations import cut_short, decorated, one_token_replaced
 
 from ccmax.errors import CcmaxError, DomainError, FormatError, SizeGuardError
 from ccmax.gadget import (
@@ -123,6 +131,32 @@ def hand_made_graph(weights: list[float], loops: bool) -> WeightedGraph:
     b = a if loops else (a + 1) % n
     return WeightedGraph(vertex_weights=np.array([0.5, -0.0, 0.5]), edge_a=a, edge_b=b,
                          edge_w=np.array(weights))
+
+
+@st.composite
+def labelings(draw, ug: UGInstance) -> tuple[Labeling, list[str]]:
+    """A labeling of `ug` and its rows, in file order."""
+    labels = st.integers(0, ug.n_labels - 1)
+    z = Labeling(
+        left=tuple(draw(st.lists(labels, min_size=ug.n_left, max_size=ug.n_left))),
+        right=tuple(draw(st.lists(labels, min_size=ug.n_right, max_size=ug.n_right))))
+    rows = ([f"u {i + 1} {lab + 1}" for i, lab in enumerate(z.left)]
+            + [f"v {j + 1} {lab + 1}" for j, lab in enumerate(z.right)])
+    return z, rows
+
+
+@st.composite
+def small_graphs(draw) -> WeightedGraph:
+    """Zero, signed-zero and extreme weights, self-loops and parallel edges."""
+    weights = st.floats(0.0, 1e300, allow_nan=False) | st.just(-0.0)
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 12))
+    ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    return WeightedGraph(
+        vertex_weights=np.array(draw(st.lists(weights, min_size=n, max_size=n))),
+        edge_a=np.array(draw(ends), dtype=np.int64),
+        edge_b=np.array(draw(ends), dtype=np.int64),
+        edge_w=np.array(draw(st.lists(weights, min_size=m, max_size=m)), dtype=float))
 
 
 class TestNu:
@@ -500,13 +534,8 @@ class TestFileFormats:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(ug_shapes(max_labels=12), st.data())
     def test_labeling_round_trip(self, ug, data):
-        labels = st.integers(0, ug.n_labels - 1)
-        z = Labeling(
-            left=tuple(data.draw(st.lists(labels, min_size=ug.n_left, max_size=ug.n_left))),
-            right=tuple(data.draw(st.lists(labels, min_size=ug.n_right, max_size=ug.n_right))))
-        text = "labeling v1\n" + "\n".join(
-            [f"u {i + 1} {lab + 1}" for i, lab in enumerate(z.left)]
-            + [f"v {j + 1} {lab + 1}" for j, lab in enumerate(z.right)]) + "\n"
+        z, rows = data.draw(labelings(ug))
+        text = "labeling v1\n" + "\n".join(rows) + "\n"
         assert parse_labeling(text, ug) == z
         for bad in (data.draw(cut_short(text)), data.draw(one_token_replaced(text))):
             try:
@@ -515,6 +544,68 @@ class TestFileFormats:
                 pass
         with pytest.raises(FormatError):
             parse_labeling(data.draw(one_token_replaced(text, st.just("?"))), ug)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(ug_shapes(max_labels=8), st.data())
+    def test_ug_matches_line_by_line_oracle(self, ug, data):
+        text = data.draw(decorated(format_ug(ug)))
+        assert parse_ug(text) == parse_ug_oracle(text) == ug
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a token can break right-regularity
+            for bad in (data.draw(cut_short(text)), data.draw(one_token_replaced(text))):
+                agrees(parse_ug, parse_ug_oracle, bad)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(ug_shapes(max_labels=8), st.data())
+    def test_labeling_matches_line_by_line_oracle(self, ug, data):
+        z, rows = data.draw(labelings(ug))
+        text = data.draw(decorated("\n".join(["labeling v1"] + data.draw(st.permutations(rows)))))
+        assert parse_labeling(text, ug) == parse_labeling_oracle(text, ug) == z
+        for bad in (data.draw(cut_short(text)), data.draw(one_token_replaced(text))):
+            agrees(lambda t: parse_labeling(t, ug), lambda t: parse_labeling_oracle(t, ug), bad)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_graph_matches_line_by_line_oracle(self, g, data):
+        lines = format_graph(g).splitlines()
+        text = data.draw(decorated("\n".join(lines[:1] + data.draw(st.permutations(lines[1:])))))
+        assert same_graph(parse_graph(text), parse_graph_oracle(text))
+        for bad in (data.draw(cut_short(text)), data.draw(one_token_replaced(text))):
+            agrees(parse_graph, parse_graph_oracle, bad, same_graph)
+
+    def test_ug_header_in_any_order(self):
+        ug = random_ug(3, 3, 4, 2, seed=7)[0]
+        lines = format_ug(ug).splitlines()
+        for order in itertools.permutations(lines[1:5]):
+            assert parse_ug("\n".join(lines[:1] + list(order) + lines[5:])) == ug
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_ug, "ug v1\nleft 1\nleft 1\nright 1\nlabels 1\ndegree 1\ne 1 1 1\n",
+         "'left' given 2 times"),
+        (parse_ug, f"ug v1\nleft 1\nright 1\nlabels {10**20}\ndegree 1\ne 1 1 1\n",
+         "bad line: 'e 1 1 1'"),
+        (lambda t: parse_labeling(t, UGInstance(1, 1, 2, ((0, 0, (0, 1)),))),
+         "labeling v1\nu 1 1\nu 1 2\nv 1 1\n",
+         "'u' ids must be exactly 1..1, each once"),
+        (lambda t: parse_labeling(t, UGInstance(1, 1, 2, ((0, 0, (0, 1)),))),
+         "labeling v1\nu 1 1\nv 1 3\n", r"'v' labels must lie in 1\.\.2"),
+        (parse_graph, "graph v1\nvertex 1 0.5\nvertex 1 0.25\nedge 1 1 1\n",
+         "'vertex' ids must be exactly 1..2, each once"),
+        (parse_graph, f"graph v1\nvertex {10**20} 0.5\n",
+         "'vertex' ids must be exactly 1..1, each once"),
+        (parse_graph, "graph v1\nvertex 1000000 0.5\n",
+         "'vertex' ids must be exactly 1..1, each once"),
+        (parse_graph, f"graph v1\nvertex 1 0.5\nedge 1 {10**20} 1\n", "edge endpoint out of range"),
+    ])
+    def test_refuses_repeated_keys_and_values_outside_the_file(self, parse, text, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=message):
+                parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # nothing is sized by an id
 
     def test_parse_errors(self):
         with pytest.raises(FormatError):
@@ -552,17 +643,8 @@ class TestFileFormats:
         assert signs == [math.copysign(1.0, w) for w in weights]
 
     @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(st.data())
-    def test_graph_round_trip_bit_exact(self, data):
-        weights = st.floats(0.0, 1e300, allow_nan=False) | st.just(-0.0)
-        n = data.draw(st.integers(1, 6))
-        m = data.draw(st.integers(0, 12))
-        ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
-        g = WeightedGraph(
-            vertex_weights=np.array(data.draw(st.lists(weights, min_size=n, max_size=n))),
-            edge_a=np.array(data.draw(ends), dtype=np.int64),
-            edge_b=np.array(data.draw(ends), dtype=np.int64),
-            edge_w=np.array(data.draw(st.lists(weights, min_size=m, max_size=m)), dtype=float))
+    @given(small_graphs(), st.data())
+    def test_graph_round_trip_bit_exact(self, g, data):
         text = format_graph(g)
         back = parse_graph(text)
         assert back.vertex_weights.tobytes() == g.vertex_weights.tobytes()

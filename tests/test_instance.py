@@ -7,7 +7,8 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from mutations import cut_short, one_token_replaced
+from format_oracles import agrees, parse_instance_oracle
+from mutations import cut_short, decorated, one_token_replaced
 
 from ccmax.errors import CcmaxError, DomainError, FormatError, SizeGuardError
 from ccmax.instance import (
@@ -92,6 +93,29 @@ def greedy_oracle(inst: CCInstance, passes: int = 40) -> np.ndarray:
         if not improved:
             break
     return a
+
+
+def brute_force_oracle(inst: CCInstance, batch: int) -> tuple[np.ndarray, float]:
+    """Brute force that compares every tied row of a batch with the best so far."""
+    best_val = -np.inf
+    best_row = None
+    combos = itertools.combinations(range(inst.n), inst.k)
+    while chunk := list(itertools.islice(combos, batch)):
+        idx = np.array(chunk, dtype=np.int64).reshape(len(chunk), inst.k)
+        rows = -np.ones((len(chunk), inst.n), dtype=np.int64)
+        if inst.k:
+            np.put_along_axis(rows, idx, 1, axis=1)
+        vals = evaluate_many(inst, rows)
+        top = float(np.max(vals))
+        if top > best_val:
+            best_val = top
+            best_row = None
+        if top == best_val:
+            for r in np.nonzero(vals == best_val)[0]:
+                row = rows[r]
+                if best_row is None or tuple(row) < tuple(best_row):
+                    best_row = row.copy()
+    return best_row, best_val
 
 
 class TestConstraintValue:
@@ -222,6 +246,20 @@ class TestBruteForce:
         with pytest.raises(SizeGuardError, match="28"):
             brute_force_opt(inst)
 
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.integers(2, 10), st.data())
+    def test_tie_rule_matches_row_by_row_oracle(self, n, data):
+        # unweighted instances tie often; small batches put ties across batches
+        inst = random_instance(
+            n, data.draw(st.integers(0, n)), data.draw(st.integers(1, 3 * n)),
+            problem=data.draw(st.sampled_from(("cut", "2lin", "2sat", "kvc"))),
+            seed=data.draw(st.integers(0, 2**16)), weighted=False)
+        batch = data.draw(st.sampled_from([1, 2, 3, 7, 16384]))
+        a, val = brute_force_opt(inst, batch=batch)
+        b, oracle_val = brute_force_oracle(inst, batch)
+        assert val == oracle_val
+        assert np.array_equal(a, b)
+
     def test_batch_boundaries(self):
         inst = cycle_cut_instance(8, 4)
         _, v1 = brute_force_opt(inst, batch=7)
@@ -314,6 +352,23 @@ class TestFileFormat:
         with pytest.raises(FormatError):
             parse_instance(data.draw(one_token_replaced(text, st.just("?"))))
 
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(any_instances(), st.data())
+    def test_matches_line_by_line_oracle(self, inst, data):
+        lines = format_instance(inst).splitlines()
+        lines[1:4] = data.draw(st.permutations(lines[1:4]))  # header keys in any order
+        text = data.draw(decorated("\n".join(lines)))
+        assert parse_instance(text) == parse_instance_oracle(text) == inst
+        for bad in (data.draw(cut_short(text)), data.draw(one_token_replaced(text))):
+            agrees(parse_instance, parse_instance_oracle, bad)
+
+    @pytest.mark.parametrize("key", ["problem", "vars", "card"])
+    def test_refuses_a_repeated_header_key(self, key):
+        lines = ["ccmax v1", "problem cut", "vars 2", "card 1"]
+        lines.insert(4, next(ln for ln in lines if ln.startswith(key)))
+        with pytest.raises(FormatError, match=f"'{key}' given 2 times"):
+            parse_instance("\n".join(lines + ["c 1 2 1.0 x-"]) + "\n")
+
     def test_parse_with_comments_and_spacing(self):
         text = """\
 # an instance
@@ -334,6 +389,8 @@ c 2 3 0.25 x-
             parse_instance("nope v1\n")
         with pytest.raises(FormatError, match="missing 'card'"):
             parse_instance("ccmax v1\nproblem cut\nvars 3\n")
+        with pytest.raises(FormatError, match="unexpected line: 'card 1'"):  # header after rows
+            parse_instance("ccmax v1\nproblem cut\nvars 2\nc 1 2 1.0 x-\ncard 1\n")
         with pytest.raises(FormatError, match="tag"):
             parse_instance("ccmax v1\nproblem cut\nvars 2\ncard 1\nc 1 2 1.0 zz\n")
         with pytest.raises(FormatError, match="out of range"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ccmax.curves import triangle_violation
-from ccmax.errors import DomainError
+from ccmax.errors import DomainError, SizeGuardError
 from ccmax.instance import (
     CCInstance,
     Constraint,
@@ -53,6 +53,16 @@ class TestRelax:
         assert p.objective == ((1, 2, -0.5),)
         assert p.triangle_pairs == ((1, 2),)
         assert p.balance_target == 0.0  # 2k - n
+
+    def test_dense_array_guard(self):
+        # relax allocates nothing dense itself, so the accepted side of the bound runs too
+        def wide(n):
+            return CCInstance(n=n, k=1, constraints=(Constraint(0, 1, 1.0, Xor(-1)),),
+                              problem="cut")
+        assert relax(wide(5180)).n == 5180
+        for n in (5181, 200_000, 10**20):
+            with pytest.raises(SizeGuardError, match=f"n={n} needs 5 dense"):
+                relax(wide(n))
 
     def test_balance_target_sign(self):
         inst = CCInstance(n=5, k=4, constraints=(Constraint(0, 1, 1.0, Xor(-1)),), problem="cut")
