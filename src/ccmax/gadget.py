@@ -79,7 +79,7 @@ class UGInstance:
         for u, v, perm in self.edges:
             if not (0 <= u < self.n_left and 0 <= v < self.n_right):
                 raise DomainError(f"edge ({u}, {v}) out of range")
-            if sorted(perm) != list(range(self.n_labels)):
+            if len(perm) != self.n_labels or sorted(perm) != list(range(self.n_labels)):
                 raise DomainError(f"edge ({u}, {v}) permutation is not a bijection: {perm}")
         degs = _degrees((u for u, _, _ in self.edges), self.n_left)
         if len(degs) != 1:
@@ -87,7 +87,7 @@ class UGInstance:
         if len(_degrees((v for _, v, _ in self.edges), self.n_right)) != 1:
             warnings.warn(
                 "unique games instance is not right-regular; gadget half-incidence "
-                "invariants will not hold exactly", stacklevel=2)
+                "invariants will not hold exactly", stacklevel=3)  # past the dataclass __init__
 
     @property
     def degree(self) -> int:

@@ -10,6 +10,9 @@ density thresholds) reduces to four scalar functions:
                              for (X, Y) standard bivariate normal with
                              correlation rho.
 
+Phi^{-1} is scipy.special.ndtri behind a domain check; it is accurate
+to a few ulps over all of (0, 1), tails included.
+
 gamma_rho is computed from the one-dimensional reduction
 
     d/drho Pr[X <= h, Y <= k] = phi2(h, k; rho),
@@ -35,7 +38,7 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erfc as _erfc
+from scipy.special import erfc as _erfc, ndtri
 
 from .errors import DomainError
 
@@ -66,60 +69,13 @@ def std_normal_cdf_vec(x: np.ndarray) -> np.ndarray:
     return 0.5 * _erfc(np.asarray(x, dtype=float) / -_SQRT2)
 
 
-# Rational initial guess for Phi^{-1} (Acklam's minimax coefficients),
-# refined below by two Newton steps so the final accuracy (~1e-15) does
-# not depend on the seed approximation.
-_INV_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_INV_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_INV_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_INV_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-
-
-def _inv_seed(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    out = np.empty_like(p)
-    p_low = 0.02425
-
-    lo = p < p_low
-    hi = p > 1.0 - p_low
-    mid = ~(lo | hi)
-
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        num = ((((_INV_A[0] * r + _INV_A[1]) * r + _INV_A[2]) * r + _INV_A[3]) * r + _INV_A[4]) * r + _INV_A[5]
-        den = ((((_INV_B[0] * r + _INV_B[1]) * r + _INV_B[2]) * r + _INV_B[3]) * r + _INV_B[4]) * r + 1.0
-        out[mid] = q * num / den
-    if np.any(lo):
-        q = np.sqrt(-2.0 * np.log(p[lo]))
-        num = ((((_INV_C[0] * q + _INV_C[1]) * q + _INV_C[2]) * q + _INV_C[3]) * q + _INV_C[4]) * q + _INV_C[5]
-        den = (((_INV_D[0] * q + _INV_D[1]) * q + _INV_D[2]) * q + _INV_D[3]) * q + 1.0
-        out[lo] = num / den
-    if np.any(hi):
-        q = np.sqrt(-2.0 * np.log(1.0 - p[hi]))
-        num = ((((_INV_C[0] * q + _INV_C[1]) * q + _INV_C[2]) * q + _INV_C[3]) * q + _INV_C[4]) * q + _INV_C[5]
-        den = (((_INV_D[0] * q + _INV_D[1]) * q + _INV_D[2]) * q + _INV_D[3]) * q + 1.0
-        out[hi] = -num / den
-    return out
-
-
 def std_normal_inv_vec(p: np.ndarray) -> np.ndarray:
     """Elementwise Phi^{-1} over an array of probabilities in (0, 1)."""
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         bad = p[(p <= 0.0) | (p >= 1.0)].ravel()[0]
         raise DomainError(f"std_normal_inv requires 0 < p < 1, got {bad!r}")
-    x = _inv_seed(p)
-    # Two Newton steps on Phi(x) - p = 0; the correction is evaluated in
-    # a numerically safe form (phi(x) > 0 for all finite x).
-    for _ in range(2):
-        err = 0.5 * _erfc(x / -_SQRT2) - p
-        x = x - err / (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
-    return x
+    return ndtri(p)
 
 
 def std_normal_inv(p: float) -> float:
@@ -181,8 +137,8 @@ def gamma_rho_vec(rho, x, y):
     if np.any(lo_only):
         out[lo_only] = np.maximum(0.0, x + y - 1.0)[lo_only]
     if np.any(interior):
-        h = std_normal_inv_vec(x[interior])
-        kk = std_normal_inv_vec(y[interior])
+        h = ndtri(x[interior])
+        kk = ndtri(y[interior])
         val = _bvn_quad(h, kk, rho[interior])
         lo_b = np.maximum(0.0, x[interior] + y[interior] - 1.0)
         hi_b = np.minimum(x[interior], y[interior])

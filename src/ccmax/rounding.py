@@ -18,7 +18,7 @@ assignment over a fixed number of rounds is reported.
 
 Gaussians come from the package quantile function applied to a
 counter-based uniform stream (Philox keyed by (seed, round)), which
-keeps every report bit-reproducible across platforms.
+keeps every report bit-reproducible from its seed.
 """
 
 from __future__ import annotations

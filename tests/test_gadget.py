@@ -489,14 +489,17 @@ class TestUGModel:
     def test_rejects_non_bijection(self):
         with pytest.raises(DomainError, match="bijection"):
             UGInstance(1, 1, 2, ((0, 0, (0, 0)),))
+        with pytest.raises(DomainError, match="bijection"):  # not a 10^20-entry list
+            UGInstance(1, 1, 10**20, ((0, 0, (0,)),))
 
     def test_rejects_irregular_left(self):
         with pytest.raises(DomainError, match="regular"):
             UGInstance(2, 1, 1, ((0, 0, (0,)), (0, 0, (0,)), (1, 0, (0,))))
 
     def test_warns_non_right_regular(self):
-        with pytest.warns(UserWarning, match="right-regular"):
+        with pytest.warns(UserWarning, match="right-regular") as record:
             UGInstance(2, 2, 1, ((0, 0, (0,)), (1, 0, (0,))))
+        assert record[0].filename == __file__  # the caller's line, not the dataclass __init__
 
     def test_random_ug_satisfiable(self):
         for seed in range(5):

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erfc
 
 from ccmax.errors import DomainError
 from ccmax.gaussian import (
@@ -29,6 +30,58 @@ PDF_AT_1 = 0.24197072451914335
 CDF_AT_Z975 = 0.97500000002688156
 # mpmath (dps=40): 2-D tensor quadrature of the bivariate density
 GAMMA_M05_03_04 = 0.053484529063614413
+# mpmath (dps=50): Phi^{-1}(1 - 2^-k), keyed by k
+INV_UPPER_TAIL = {
+    20: 4.7630010342678135,
+    30: 6.009353565530744,
+    40: 7.047700256664409,
+    50: 7.956038125481531,
+}
+
+EPS = np.finfo(float).eps
+
+# Acklam's rational approximation to Phi^{-1}, the seed of the package's
+# quantile before it called scipy's ndtri.
+_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
+             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
+_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
+             6.680131188771972e+01, -1.328068155288572e+01)
+_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
+_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
+             3.754408661907416e+00)
+
+
+def _acklam_seed(p: np.ndarray) -> np.ndarray:
+    out = np.empty_like(p)
+    p_low = 0.02425
+    lo = p < p_low
+    hi = p > 1.0 - p_low
+    mid = ~(lo | hi)
+    A, B, C, D = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
+    if np.any(mid):
+        q = p[mid] - 0.5
+        r = q * q
+        num = ((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]
+        den = ((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0
+        out[mid] = q * num / den
+    for mask, tail, sign in ((lo, p[lo], 1.0), (hi, 1.0 - p[hi], -1.0)):
+        if np.any(mask):
+            q = np.sqrt(-2.0 * np.log(tail))
+            num = ((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5]
+            den = (((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0
+            out[mask] = sign * num / den
+    return out
+
+
+def std_normal_inv_oracle(p) -> np.ndarray:
+    """The package's former Phi^{-1}: Acklam's seed and two Newton steps."""
+    p = np.asarray(p, dtype=float)
+    x = _acklam_seed(p)
+    for _ in range(2):
+        err = 0.5 * erfc(x / -math.sqrt(2.0)) - p
+        x = x - err / ((1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x * x))
+    return x
 
 
 class TestPdf:
@@ -127,6 +180,20 @@ class TestInv:
         vec = std_normal_inv_vec(ps)
         for p, v in zip(ps, vec):
             assert std_normal_inv(float(p)) == v
+
+    @pytest.mark.parametrize("k", sorted(INV_UPPER_TAIL))
+    def test_upper_tail_against_mpmath(self, k):
+        assert std_normal_inv(1.0 - 2.0**-k) == pytest.approx(INV_UPPER_TAIL[k], abs=1e-14)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(st.one_of(st.floats(1e-300, 1.0 - 1e-4), st.floats(-690.0, -0.7).map(math.exp)))
+    def test_matches_acklam_newton_oracle(self, p):
+        # The oracle stops improving x where its residual Phi(x) - p,
+        # computed to about eps * p, no longer moves it: an error of
+        # eps * p / phi(x) on top of the rounding of x itself.
+        x = float(std_normal_inv_vec(p))
+        tol = 8.0 * EPS * (abs(x) + p / std_normal_pdf(x))
+        assert abs(x - float(std_normal_inv_oracle(p))) <= tol
 
 
 class TestGammaRho:
