@@ -149,8 +149,7 @@ def _cmd_gadget(args) -> int:
 def _cmd_density(args) -> int:
     graph = gadget.parse_graph(Path(args.graph).read_text(encoding="utf-8"))
     mode = "exact" if args.mode == "exact" else "local_search"
-    profile = gadget.density_profile(
-        graph, args.r, mode=mode, seed=args.seed, epsilon=args.eps)
+    profile = gadget.density_profile(graph, args.r, mode=mode, seed=args.seed)
     for s in profile.samples:
         line = (f"r={_fmt(s.r)} min_density={_fmt(s.min_density_found)} "
                 f"method={s.method} candidates={s.n_candidates}")

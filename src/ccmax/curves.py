@@ -96,13 +96,8 @@ def _check_q(q: float, name: str = "q") -> None:
 
 
 def kappa(q: float) -> RhoInterval:
-    """Feasible negative correlations of two q-biased bits."""
-    _check_q(q)
-    if q == 0.5:
-        return RhoInterval(lo=-1.0, lo_closed=False)
-    if q < 0.5:
-        return RhoInterval(lo=-q / (1.0 - q), lo_closed=True)
-    return RhoInterval(lo=-(1.0 - q) / q, lo_closed=True)
+    """Feasible negative correlations of two q-biased bits; -1 is out of reach at q = 1/2."""
+    return RhoInterval(lo=extremal_rho(q), lo_closed=q != 0.5)
 
 
 def _check_rho_in_kappa(q: float, rho) -> None:
@@ -172,24 +167,23 @@ def _hardness_point(problem: Problem, q: float) -> tuple[float, float]:
 
 
 def extremal_rho(q: float) -> float:
-    """Left endpoint of kappa(q); equals -q/(1-q) for q <= 1/2."""
+    """Left endpoint of kappa(q): -q/(1-q) for q <= 1/2, and -(1-q)/q above,
+    where 1 - (1 - q) is q exactly."""
     _check_q(q)
     return -min(q, 1.0 - q) / (1.0 - min(q, 1.0 - q))
 
 
 def alpha_cut(q: float) -> float:
     """Cut approximation ratio at cardinality q (symmetric in q, 1-q)."""
-    _check_q(q)
+    rb = extremal_rho(q)
     qq = min(q, 1.0 - q)
-    rb = -qq / (1.0 - qq)
     return (2.0 * qq - 2.0 * gamma_rho(rb, qq, qq)) / (2.0 * qq)
 
 
 def alpha_2sat(q: float) -> float:
     """2sat/coverage approximation ratio at cardinality q."""
-    _check_q(q)
+    rb = extremal_rho(q)
     qq = min(q, 1.0 - q)
-    rb = -qq / (1.0 - qq)
     return (1.0 - gamma_rho(rb, 1.0 - qq, 1.0 - qq)) / (2.0 * qq)
 
 

@@ -45,12 +45,16 @@ from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
+from .curves import extremal_rho
 from .errors import DomainError, FormatError, SizeGuardError
+from .gaussian import stream
 from .instance import CCInstance, Constraint, Or, Xor, by_id, read_columns, read_lines
 
 MAX_LABELS = 14
 MAX_EXACT_DENSITY_VERTICES = 24
 MAX_EDGE_ENTRIES = 5_000_000
+# seeded starts of each local_search density target
+DENSITY_RESTARTS = 10
 
 
 def _degrees(ends: Iterator[int], n: int) -> set[int]:
@@ -128,12 +132,12 @@ def nu(q: float, rho: float) -> NuDistribution:
     """Correlated-bit table with off-diagonal mass t = (q - q^2)(1 - rho).
 
     Accepts any rho for which the table is a distribution: at or above
-    the extremal negative correlation -min(q, 1-q)/(1 - min(q, 1-q)),
-    up to +1 (independence at 0 included).
+    the extremal negative correlation `curves.extremal_rho(q)`, up to +1
+    (independence at 0 included).
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must be inside (0, 1), got {q!r}")
-    lo = -min(q, 1.0 - q) / (1.0 - min(q, 1.0 - q))
+    lo = extremal_rho(q)
     if not (math.isfinite(rho) and lo - 1e-12 <= rho <= 1.0):
         raise DomainError(
             f"rho={rho!r} gives a negative cell; need {lo:.12g} <= rho <= 1 at q={q}")
@@ -153,7 +157,6 @@ class WeightedGraph:
     edge_a: np.ndarray
     edge_b: np.ndarray
     edge_w: np.ndarray
-    labels: tuple[tuple[int, int], ...] | None = None  # (right-vertex, bitmask)
 
     def __post_init__(self):
         n = self.vertex_weights.size
@@ -253,8 +256,7 @@ def build_gadget(ug: UGInstance, q: float, rho: float) -> WeightedGraph:
             f"{n_pairs} edge pairs x {len(cells)}^{L} tensor cells")
 
     base = biased_product_weights(q, L)
-    vertex_w = np.tile(base / ug.n_right, ug.n_right)
-    labels = tuple((v, x) for v in range(ug.n_right) for x in range(1 << L))
+    vertex_w = np.tile(base / ug.n_right, ug.n_right)  # vertex (v, x) is v << L | x
 
     cx, cy, cw = (np.array(col) for col in zip(*cells))
     w = np.array([1.0 / n_pairs])
@@ -279,7 +281,6 @@ def build_gadget(ug: UGInstance, q: float, rho: float) -> WeightedGraph:
         edge_a=np.broadcast_to(ends_a, shape).ravel(),
         edge_b=np.broadcast_to(ends_b, shape).ravel(),
         edge_w=np.tile(w, n_pairs),
-        labels=labels,
     )
 
 
@@ -317,7 +318,6 @@ class DensitySample:
 @dataclass(frozen=True)
 class DensityProfile:
     samples: tuple[DensitySample, ...]
-    epsilon: float
     tol_r: float
 
 
@@ -350,17 +350,18 @@ def density_profile(
     r_grid: Sequence[float],
     mode: Literal["exact", "local_search"] = "exact",
     seed: int = 0,
-    epsilon: float = 0.0,
     tol_r: float | None = None,
-    restarts: int = 10,
 ) -> DensityProfile:
     """Minimum internal edge weight among subsets near each target weight.
 
     exact mode enumerates all subsets (guarded at 24 vertices) and is a
-    true minimum over the weight window; local_search mode reports the
-    best found by seeded swap descent, an upper bound only.  Each target
-    r is a fraction of the unit total vertex weight, so it must lie in
-    [0, 1].
+    true minimum over the weight window.  local_search mode is an upper
+    bound only: from each of `DENSITY_RESTARTS` seeded fills (vertices
+    taken in a random order until the weight reaches the window) it
+    sweeps the vertices in index order, keeping each single-vertex flip
+    that stays in the window and lowers the internal weight, and sweeps
+    again until a sweep keeps none.  Each target r is a fraction of the
+    unit total vertex weight, so it must lie in [0, 1].
     """
     rs = [float(r) for r in r_grid]
     if not rs:
@@ -384,7 +385,7 @@ def density_profile(
             count = int(np.sum(hit))
             val = float(np.min(wss[hit])) if count else math.inf
             samples.append(DensitySample(r, val, "exact", count))
-        return DensityProfile(tuple(samples), epsilon, tol_r)
+        return DensityProfile(tuple(samples), tol_r)
 
     if mode != "local_search":
         raise DomainError(f"unknown mode {mode!r}")
@@ -394,8 +395,8 @@ def density_profile(
     for r in rs:
         best = math.inf
         found = 0
-        for rep in range(restarts):
-            rng = np.random.Generator(np.random.Philox(key=[seed, rep]))
+        for rep in range(DENSITY_RESTARTS):
+            rng = stream(seed, rep)
             order = rng.permutation(n)
             mask = np.zeros(n, dtype=bool)
             acc = 0.0
@@ -424,7 +425,7 @@ def density_profile(
                     mask[v] = ~mask[v]
             best = min(best, cur)
         samples.append(DensitySample(r, best, "local_search", found))
-    return DensityProfile(tuple(samples), epsilon, tol_r)
+    return DensityProfile(tuple(samples), tol_r)
 
 
 def derive_cc_instance(
@@ -470,7 +471,7 @@ def random_ug(
     if (n_left * degree) % n_right != 0:
         raise DomainError(
             f"cannot be right-regular: {n_left} * {degree} not divisible by {n_right}")
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    rng = stream(seed)
     slots = np.repeat(np.arange(n_right), (n_left * degree) // n_right)
     slots = rng.permutation(slots)
 

@@ -30,6 +30,7 @@ boundaries x, y in {0, 1}.
 
 All functions are pure and accept floats; `*_vec` variants accept numpy
 arrays (broadcasting) for the hot loops in the curve and rounding code.
+`stream(seed, index)` is the package's one seeded generator.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ def std_normal_cdf_vec(x: np.ndarray) -> np.ndarray:
 def std_normal_inv_vec(p: np.ndarray) -> np.ndarray:
     """Elementwise Phi^{-1} over an array of probabilities in (0, 1)."""
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        bad = p[(p <= 0.0) | (p >= 1.0)].ravel()[0]
-        raise DomainError(f"std_normal_inv requires 0 < p < 1, got {bad!r}")
+    bad = ~((p > 0.0) & (p < 1.0))  # NaN fails both comparisons
+    if np.any(bad):
+        raise DomainError(f"std_normal_inv requires 0 < p < 1, got {p[bad][0]!r}")
     return ndtri(p)
 
 
@@ -84,6 +85,18 @@ def std_normal_inv(p: float) -> float:
         raise DomainError(f"std_normal_inv requires 0 < p < 1, got {p!r}"
                           f" (offending bound: {'p <= 0' if p <= 0.0 else 'p >= 1'})")
     return float(std_normal_inv_vec(np.asarray([p]))[0])
+
+
+def stream(seed: int, index: int = 0) -> np.random.Generator:
+    """Counter-based generator for (seed, index): Philox keyed by the 128-bit
+    word with seed mod 2^64 low and index high.
+
+    For |seed| < 2^63 that is the stream of Philox(key=[seed, index]); the
+    list form goes through float64 for larger seeds, where distinct seeds
+    share a stream.  Every seeded draw in the package comes from one of
+    these streams, so a run is bit-reproducible from its seed.
+    """
+    return np.random.Generator(np.random.Philox(key=int(seed) % 2**64 + (index << 64)))
 
 
 def _bvn_quad(h, k, rho):

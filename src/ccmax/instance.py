@@ -40,6 +40,7 @@ from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, FormatError, SizeGuardError
+from .gaussian import stream
 
 BRUTE_FORCE_MAX_VARS = 28
 
@@ -419,7 +420,7 @@ def random_instance(
     weighted: bool = True,
 ) -> CCInstance:
     """Seeded random instance (distinct endpoints, uniform kinds/weights)."""
-    rng = np.random.default_rng(np.random.Philox(key=seed))
+    rng = stream(seed)
     constraints = []
     kinds = sorted(_PROBLEM_KINDS[problem], key=repr)
     for _ in range(m):

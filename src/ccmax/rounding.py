@@ -17,7 +17,7 @@ restored per round by greedy minimum-loss flips, and the best repaired
 assignment over a fixed number of rounds is reported.
 
 Gaussians come from the package quantile function applied to a
-counter-based uniform stream (Philox keyed by (seed, round)), which
+counter-based uniform stream (`gaussian.stream(seed, round)`), which
 keeps every report bit-reproducible from its seed.
 """
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .curves import rho_bar
 from .errors import DomainError
-from .gaussian import gamma_rho, std_normal_inv_vec
+from .gaussian import gamma_rho, std_normal_inv_vec, stream
 from .instance import (
     CCInstance,
     as_assignment,
@@ -43,11 +43,6 @@ from .instance import (
 from .sdp import SDPSolution
 
 _MU_DETERMINISTIC = 1.0 - 1e-9
-
-
-def stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Counter-based generator for (seed, index); the documented seeding."""
-    return np.random.Generator(np.random.Philox(key=[seed, index]))
 
 
 def gaussian_vector(rng: np.random.Generator, size: int) -> np.ndarray:

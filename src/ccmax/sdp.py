@@ -22,30 +22,30 @@ relaxation optimum, not a certificate.  `solve_instance` always seeds
 restart 0 from an integral assignment (the caller's or the greedy one),
 so the attained value also dominates that assignment's objective.
 
-Everything constant is built once per problem (`_Operators`): the
-objective part of dLoss/dGram, the balance pattern, and the flat Gram
-indices of the objective terms and of each triangle pair's (mu_i, mu_j,
-rho_ij) and their transposes.  One iteration then costs one Gram
-product G = V V^T of the candidate, from which the objective, balance
-residual and triangle forms are read by index; one np.bincount scatter
-of the triangle multipliers into dLoss/dGram; and one product M V for
-the gradient.  Loss, feasibility and stop tests are scalar arithmetic
-on cached values, so the work per step is O(n^2 dim + #pairs) in a
-fixed, small number of numpy calls.
+`SDPProblem` is the only form of the relaxation: coefficient arrays on
+Gram entries, which `relax` reads off the instance's own arrays, and
+the solver's constant operators, built on first use.  One iteration
+costs one Gram product G = V V^T of the candidate, from which `pieces`
+reads the objective, balance residual and triangle forms by index; one
+np.bincount scatter of the triangle multipliers in `dloss_dgram`; and
+one product M V for the gradient.  The work per step is thus
+O(n^2 dim + #pairs) in a fixed, small number of numpy calls, and the
+solution reports the objective and residuals of its iterate's pieces.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .curves import triangle_violation
 from .errors import DomainError, SizeGuardError
-from .instance import CCInstance, Xor, as_assignment, greedy_assignment
+from .gaussian import stream
+from .instance import CCInstance, as_assignment, greedy_assignment
 
 # first gradient step of every restart; it grows 5% after each accepted step
 # and halves after each rejected one
@@ -60,23 +60,102 @@ MAX_DENSE_BYTES = 1 << 30
 _TRI_SIGNS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
 
 
-@dataclass(frozen=True)
+class _Pieces(NamedTuple):
+    """Loss terms of one iterate, computed once for the loss, feasibility and stop checks."""
+
+    obj: float
+    h: float  # balance residual sum(mu) - target (0 without balance)
+    viol_max: float
+    viol_sq: float  # sum of squared triangle violations
+    viol: np.ndarray  # (#pairs, 4) violation of each triangle form
+
+
+@dataclass(frozen=True, eq=False)
 class SDPProblem:
-    """Objective and constraint data over Gram entries of v_0 .. v_n."""
+    """The relaxation over Gram entries of v_0 .. v_n, and the solver's operators.
+
+    The objective is offset + sum_t obj_c[t] <v_obj_p[t], v_obj_q[t]>, one
+    term per Gram entry, obj_p < obj_q, in (p, q) order.  `tri` lists the
+    constrained vector pairs (i, j), 1 <= i < j, in order; each carries the
+    four triangle inequalities.  Flat indices address the row-major
+    (n+1) x (n+1) Gram matrix G = V V^T.  dLoss/dG is the constant
+    objective part `M_obj`, plus the balance pattern `B` scaled by
+    (lam + sigma_bal h), plus the triangle multipliers scattered onto the
+    entries of (mu_i, mu_j, rho_ij) and their transposes.
+    """
 
     n: int
     dim: int
-    objective: tuple[tuple[int, int, float], ...]  # (p, q, coeff) on <v_p, v_q>
+    obj_p: np.ndarray
+    obj_q: np.ndarray
+    obj_c: np.ndarray
     offset: float
     balance_target: float | None
-    triangle_pairs: tuple[tuple[int, int], ...]  # vector indices, 1-based pairs
+    tri: np.ndarray  # (#pairs, 2)
 
     def __post_init__(self):
-        for p, q, _ in self.objective:
-            if not (0 <= p <= self.n and 0 <= q <= self.n):
-                raise DomainError(f"objective index ({p}, {q}) out of range")
+        ends = np.concatenate([self.obj_p, self.obj_q])
+        if ends.size and not (0 <= ends.min() and ends.max() <= self.n):
+            raise DomainError(f"objective index outside 0..{self.n}")
         if self.balance_target is not None and abs(self.balance_target) > self.n:
             raise DomainError(f"balance target {self.balance_target} outside [-n, n]")
+
+    @cached_property
+    def obj_idx(self) -> np.ndarray:
+        return self.obj_p * (self.n + 1) + self.obj_q
+
+    @cached_property
+    def M_obj(self) -> np.ndarray:
+        M = np.zeros((self.n + 1, self.n + 1))
+        np.add.at(M, (self.obj_p, self.obj_q), -self.obj_c / 2)
+        np.add.at(M, (self.obj_q, self.obj_p), -self.obj_c / 2)
+        return M
+
+    @cached_property
+    def B(self) -> np.ndarray | None:
+        if self.balance_target is None:
+            return None
+        B = np.zeros((self.n + 1, self.n + 1))
+        B[0, 1:] = B[1:, 0] = 0.5
+        return B
+
+    @cached_property
+    def tri_idx(self) -> np.ndarray:
+        """G[0, i], G[0, j], G[i, j] per pair."""
+        i, j = self.tri[:, 0], self.tri[:, 1]
+        return np.stack([i, j, i * (self.n + 1) + j], axis=1)
+
+    @cached_property
+    def scatter_idx(self) -> np.ndarray:
+        """`tri_idx`, then the transposed entries."""
+        size = self.n + 1
+        i, j = self.tri[:, 0], self.tri[:, 1]
+        return np.concatenate(
+            [self.tri_idx.ravel(), np.stack([i * size, j * size, j * size + i], axis=1).ravel()])
+
+    def pieces(self, V: np.ndarray) -> _Pieces:
+        g = (V @ V.T).ravel()
+        obj = self.offset + float(self.obj_c @ g[self.obj_idx])
+        target = self.balance_target
+        h = float(g[1:self.n + 1].sum()) - target if target is not None else 0.0
+        if not self.tri.size:
+            return _Pieces(obj, h, 0.0, 0.0, np.zeros((0, 4)))
+        viol = np.maximum(0.0, -1.0 - g[self.tri_idx] @ _TRI_SIGNS.T)
+        return _Pieces(obj, h, float(viol.max()), float((viol * viol).sum()), viol)
+
+    def dloss_dgram(self, lam: float, sigma_bal: float, sigma_tri: float,
+                    cur: _Pieces) -> np.ndarray:
+        """Symmetric M with d(loss)/dV = 2 M V."""
+        M = self.M_obj
+        if self.B is not None:
+            M = M + (lam + sigma_bal * cur.h) * self.B
+        if cur.viol.size:
+            # d/dG of 0.5*sigma*sum v^2 = -sigma * v * dform/dG
+            half = 0.5 * ((-sigma_tri * cur.viol) @ _TRI_SIGNS).ravel()
+            size = self.n + 1
+            M = M + np.bincount(self.scatter_idx, weights=np.concatenate([half, half]),
+                                minlength=size * size).reshape(size, size)
+        return M
 
 
 @dataclass(frozen=True)
@@ -99,77 +178,46 @@ class SolveOptions:
 
 
 def relax(inst: CCInstance) -> SDPProblem:
-    """Build the relaxation; objective coefficients in Gram entries."""
+    """Build the relaxation from the instance's coefficient arrays.
+
+    A constraint worth w (c0 + c1 x_i + c2 x_j + c3 x_i x_j) puts w c1 on
+    G[0, i], w c2 on G[0, j] and w c3 on G[i, j], and w c0 into the
+    offset.  On a self-loop x_i x_j = 1: w c3 joins the offset and
+    w (c1 + c2) lands on G[0, i].  Zero terms are dropped; each Gram entry
+    sums its terms, and the offset its terms, in constraint order.
+    """
     dense = 5 * 8 * (inst.n + 1) ** 2
     if dense > MAX_DENSE_BYTES:
         raise SizeGuardError(f"relaxation refused: n={inst.n} needs 5 dense (n+1)^2 "
                              f"arrays, {dense} bytes (> {MAX_DENSE_BYTES})")
-    terms: dict[tuple[int, int], float] = {}
-    offset = 0.0
-    pairs: set[tuple[int, int]] = set()
-
-    def add(p: int, q: int, coeff: float) -> None:
-        if coeff == 0.0:
-            return
-        key = (min(p, q), max(p, q))
-        terms[key] = terms.get(key, 0.0) + coeff
-
-    for c in inst.constraints:
-        vi, vj = c.i + 1, c.j + 1
-        if isinstance(c.kind, Xor):
-            if vi == vj:
-                offset += c.weight * (1 + c.kind.parity) / 2
-            else:
-                offset += c.weight / 2
-                add(vi, vj, c.weight * c.kind.parity / 2)
-        else:
-            p1, p2, p3 = c.kind.pattern
-            if vi == vj:
-                offset += c.weight * (3 + p3) / 4
-                add(0, vi, c.weight * (p1 + p2) / 4)
-            else:
-                offset += c.weight * 3 / 4
-                add(0, vi, c.weight * p1 / 4)
-                add(0, vj, c.weight * p2 / 4)
-                add(vi, vj, c.weight * p3 / 4)
-        if vi != vj:
-            pairs.add((min(vi, vj), max(vi, vj)))
+    size = inst.n + 1
+    i, j, w, c0, c1, c2, c3 = inst._arrays
+    vi, vj = i + 1, j + 1
+    loop = vi == vj
+    pair = np.minimum(vi, vj) * size + np.maximum(vi, vj)
+    # the terms on G[0, i], G[0, j], G[i, j] of each constraint, in that order
+    keys = np.stack([vi, vj, pair], axis=1).ravel()
+    coeffs = np.stack([w * np.where(loop, c1 + c2, c1), np.where(loop, 0.0, w * c2),
+                       np.where(loop, 0.0, w * c3)], axis=1).ravel()
+    keep = coeffs != 0.0
+    keys, slot = np.unique(keys[keep], return_inverse=True)
+    # bincount adds in input order: each entry's terms in constraint order
+    obj_c = np.bincount(slot, weights=coeffs[keep], minlength=keys.size)
+    offset = np.cumsum(w * (c0 + np.where(loop, c3, 0.0)))  # a sequential sum
+    pairs = np.unique(pair[~loop])
 
     m = max(1, len(inst.constraints))
     dim = min(inst.n + 1, max(3, math.ceil(math.sqrt(2 * m)) + 2))
     return SDPProblem(
         n=inst.n,
         dim=dim,
-        objective=tuple((p, q, w) for (p, q), w in sorted(terms.items())),
-        offset=offset,
+        obj_p=keys // size,
+        obj_q=keys % size,
+        obj_c=obj_c,
+        offset=float(offset[-1]) if offset.size else 0.0,
         balance_target=inst.balance,
-        triangle_pairs=tuple(sorted(pairs)),
+        tri=np.stack([pairs // size, pairs % size], axis=1),
     )
-
-
-def objective_from_vectors(problem: SDPProblem, vectors: np.ndarray) -> float:
-    val = problem.offset
-    for p, q, coeff in problem.objective:
-        val += coeff * float(vectors[p] @ vectors[q])
-    return val
-
-
-def residuals_from_vectors(problem: SDPProblem, vectors: np.ndarray) -> dict[str, float]:
-    v0 = vectors[0]
-    mu = vectors[1:] @ v0
-    bal = 0.0
-    if problem.balance_target is not None:
-        bal = abs(float(np.sum(mu)) - problem.balance_target)
-    tri = 0.0
-    for p, q in problem.triangle_pairs:
-        tri = max(tri, triangle_violation(float(mu[p - 1]), float(mu[q - 1]),
-                                          float(vectors[p] @ vectors[q])))
-    norms = np.linalg.norm(vectors, axis=1)
-    return {
-        "balance": bal,
-        "triangle_max_violation": tri,
-        "unit_norm_max_deviation": float(np.max(np.abs(norms - 1.0))),
-    }
 
 
 def _normalize_rows(V: np.ndarray) -> np.ndarray:
@@ -195,72 +243,6 @@ def _perturb_tangential(V: np.ndarray, rng: np.random.Generator, scale: float = 
     return _normalize_rows(V + noise)
 
 
-class _Pieces(NamedTuple):
-    """Loss terms of one iterate, computed once for the loss, feasibility and stop checks."""
-
-    obj: float
-    h: float  # balance residual sum(mu) - target (0 without balance)
-    viol_max: float
-    viol_sq: float  # sum of squared triangle violations
-    viol: np.ndarray  # (#pairs, 4) violation of each triangle form
-
-
-class _Operators:
-    """Constants of the solver loop for one problem, built once.
-
-    Flat indices address the row-major (n+1) x (n+1) Gram matrix
-    G = V V^T.  dLoss/dG is the constant objective part `M_obj`, plus
-    the balance pattern `B` scaled by (lam + sigma_bal h), plus the
-    triangle multipliers scattered onto the entries of (mu_i, mu_j,
-    rho_ij) and their transposes.
-    """
-
-    def __init__(self, problem: SDPProblem):
-        size = problem.n + 1
-        self.size = size
-        self.offset = problem.offset
-        self.target = problem.balance_target
-        obj_p = np.array([p for p, _, _ in problem.objective], dtype=np.int64)
-        obj_q = np.array([q for _, q, _ in problem.objective], dtype=np.int64)
-        self.obj_c = np.array([c for _, _, c in problem.objective])
-        self.obj_idx = obj_p * size + obj_q
-        self.M_obj = np.zeros((size, size))
-        np.add.at(self.M_obj, (obj_p, obj_q), -self.obj_c / 2)
-        np.add.at(self.M_obj, (obj_q, obj_p), -self.obj_c / 2)
-        self.B: np.ndarray | None = None
-        if self.target is not None:
-            self.B = np.zeros((size, size))
-            self.B[0, 1:] = self.B[1:, 0] = 0.5
-        tri = np.array(problem.triangle_pairs, dtype=np.int64).reshape(-1, 2)
-        i, j = tri[:, 0], tri[:, 1]
-        # G[0, i], G[0, j], G[i, j] per pair, then the transposed entries
-        self.tri_idx = np.stack([i, j, i * size + j], axis=1)
-        self.scatter_idx = np.concatenate(
-            [self.tri_idx.ravel(), np.stack([i * size, j * size, j * size + i], axis=1).ravel()])
-
-    def pieces(self, V: np.ndarray) -> _Pieces:
-        g = (V @ V.T).ravel()
-        obj = self.offset + float(self.obj_c @ g[self.obj_idx])
-        h = float(g[1:self.size].sum()) - self.target if self.target is not None else 0.0
-        if not self.tri_idx.size:
-            return _Pieces(obj, h, 0.0, 0.0, np.zeros((0, 4)))
-        viol = np.maximum(0.0, -1.0 - g[self.tri_idx] @ _TRI_SIGNS.T)
-        return _Pieces(obj, h, float(viol.max()), float((viol * viol).sum()), viol)
-
-    def dloss_dgram(self, lam: float, sigma_bal: float, sigma_tri: float,
-                    cur: _Pieces) -> np.ndarray:
-        """Symmetric M with d(loss)/dV = 2 M V."""
-        M = self.M_obj
-        if self.B is not None:
-            M = M + (lam + sigma_bal * cur.h) * self.B
-        if cur.viol.size:
-            # d/dG of 0.5*sigma*sum v^2 = -sigma * v * dform/dG
-            half = 0.5 * ((-sigma_tri * cur.viol) @ _TRI_SIGNS).ravel()
-            M = M + np.bincount(self.scatter_idx, weights=np.concatenate([half, half]),
-                                minlength=self.size * self.size).reshape(self.size, self.size)
-        return M
-
-
 def solve(
     problem: SDPProblem,
     opts: SolveOptions | None = None,
@@ -273,7 +255,11 @@ def solve(
     assignment's value by more than the embedding noise.  Every other
     restart (restart 0 too, without a seed) starts at random.  Restart
     streams derive from (seed, restart_index); the result is
-    deterministic for fixed options.
+    deterministic for fixed options.  Each restart offers the best
+    feasible-to-tolerance iterate it met, else its last one.  An offer
+    whose residuals are both within 10 tol counts as feasible and beats
+    any other; then the higher objective, or among infeasible offers the
+    smaller violation, wins, and ties go to the earlier restart.
     """
     opts = opts or SolveOptions()
     if opts.tol <= 0:
@@ -284,13 +270,10 @@ def solve(
         integral_seed = as_assignment(integral_seed, problem.n)
 
     n, dim = problem.n, problem.dim
-    ops = _Operators(problem)
-
-    best: tuple[int, float, float, np.ndarray, bool] | None = None
-    # ordering key: feasible first, then objective, ties by restart index
+    best: tuple[tuple[bool, float], int, np.ndarray, _Pieces, bool] | None = None
 
     for r in range(opts.restarts):
-        rng = np.random.Generator(np.random.Philox(key=[opts.seed, r]))
+        rng = stream(opts.seed, r)
         if r == 0 and integral_seed is not None:
             V_exact = _integral_embedding(integral_seed.astype(float), dim)
             V = _perturb_tangential(V_exact, rng)
@@ -315,27 +298,25 @@ def solve(
         def feasible_to_tol(pc: _Pieces) -> bool:
             return abs(pc.h) <= opts.tol and pc.viol_max <= opts.tol
 
-        snap_obj = -math.inf
-        snap_V: np.ndarray | None = None
+        snap: tuple[np.ndarray, _Pieces] | None = None  # best feasible-to-tol iterate
 
         def consider(Vc: np.ndarray, pc: _Pieces) -> None:
-            nonlocal snap_obj, snap_V
-            if feasible_to_tol(pc) and pc.obj > snap_obj:
-                snap_obj = pc.obj
-                snap_V = Vc.copy()
+            nonlocal snap
+            if feasible_to_tol(pc) and pc.obj > (snap[1].obj if snap else -math.inf):
+                snap = (Vc.copy(), pc)
 
         if V_exact is not None:
-            consider(V_exact, ops.pieces(V_exact))
+            consider(V_exact, problem.pieces(V_exact))
 
-        cur = ops.pieces(V)
+        cur = problem.pieces(V)
         consider(V, cur)
         for it in range(opts.max_iters):
-            grad = 2.0 * (ops.dloss_dgram(lam, sigma_bal, sigma_tri, cur) @ V)
+            grad = 2.0 * (problem.dloss_dgram(lam, sigma_bal, sigma_tri, cur) @ V)
             # project to the tangent of the unit spheres
             grad -= (grad * V).sum(axis=1, keepdims=True) * V
 
             V_new = _normalize_rows(V - eta * grad)
-            new = ops.pieces(V_new)
+            new = problem.pieces(V_new)
             if loss_of(new) <= loss_of(cur):
                 V, cur = V_new, new
                 eta = min(eta * 1.05, 1.0)
@@ -368,36 +349,24 @@ def solve(
             prev_loss = new_loss
 
         consider(V, cur)
-        V_report = snap_V if snap_V is not None else V
-        res = residuals_from_vectors(problem, V_report)
-        feasible = (res["balance"] <= opts.tol * 10
-                    and res["triangle_max_violation"] <= opts.tol * 10)
-        final_obj = objective_from_vectors(problem, V_report)
-        cand = (r, final_obj, res["balance"] + res["triangle_max_violation"],
-                V_report.copy(), converged)
-        if best is None:
-            best = cand
-        else:
-            b_feas = best[2] <= opts.tol * 20
-            if feasible and (not b_feas or final_obj > best[1]):
-                best = cand
-            elif not feasible and not b_feas and cand[2] < best[2]:
-                best = cand
+        V_rep, pc = snap or (V, cur)
+        feasible = max(abs(pc.h), pc.viol_max) <= 10 * opts.tol
+        key = (True, pc.obj) if feasible else (False, -(abs(pc.h) + pc.viol_max))
+        if best is None or key > best[0]:
+            best = (key, r, V_rep, pc, converged)
 
-    r, final_obj, _, V, converged = best
-    res = residuals_from_vectors(problem, V)
-    v0 = V[0]
-    mu = V[1:] @ v0
-    rho = {
-        (p - 1, q - 1): float(V[p] @ V[q])
-        for p, q in problem.triangle_pairs
-    }
+    _, r, V, pc, converged = best
+    rho = (V @ V.T).ravel()[problem.tri_idx[:, 2]]
     return SDPSolution(
         vectors=V,
-        mu=mu,
-        rho=rho,
-        objective_value=final_obj,
-        residuals=res,
+        mu=V[1:] @ V[0],
+        rho=dict(zip(map(tuple, (problem.tri - 1).tolist()), rho.tolist())),
+        objective_value=pc.obj,
+        residuals={
+            "balance": abs(pc.h),
+            "triangle_max_violation": pc.viol_max,
+            "unit_norm_max_deviation": float(np.max(np.abs(np.linalg.norm(V, axis=1) - 1.0))),
+        },
         converged=converged,
         restart_index=r,
     )
@@ -418,11 +387,6 @@ def solve_instance(
     if integral_seed is None:
         integral_seed = greedy_assignment(inst)
     return solve(problem, opts, integral_seed=integral_seed)
-
-
-def unconstrained(problem: SDPProblem) -> SDPProblem:
-    """Copy of the problem without the balance equality."""
-    return replace(problem, balance_target=None)
 
 
 def gram_matrix(solution: SDPSolution) -> np.ndarray:

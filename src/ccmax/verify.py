@@ -19,7 +19,8 @@ from typing import Callable
 import numpy as np
 
 from . import curves, gadget, rounding
-from .gaussian import gamma_rho_vec, std_normal_cdf_vec, std_normal_inv_vec, std_normal_pdf
+from .gaussian import (gamma_rho_vec, std_normal_cdf_vec, std_normal_inv_vec, std_normal_pdf,
+                       stream)
 
 # marginal levels 0.05 .. 0.95 and correlations -0.95 .. 0.95 of the gamma grid rows
 GAMMA_XS = np.arange(0.05, 0.9501, 0.05)
@@ -54,8 +55,8 @@ def suite_gamma(seed: int = 0) -> list[CheckRow]:
                  float(np.max(np.abs(gamma_rho_vec(1.0, X, Y) - np.minimum(X, Y)))),
                  float(np.max(np.abs(gamma_rho_vec(-1.0, X, Y) - np.maximum(0.0, X + Y - 1.0)))))
 
-    # the 500 (rho, x, y) draws of the Philox stream, in draw order
-    rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
+    # the 500 (rho, x, y) draws of the seeded stream, in draw order
+    rng = stream(seed, 1)
     rho, x, y = rng.uniform([-1.0, 0.0, 0.0], 1.0, size=(500, 3)).T
     v = gamma_rho_vec(rho, x, y)
     frechet = max(0.0, float(np.max(np.maximum(0.0, x + y - 1) - v)),
@@ -144,7 +145,7 @@ def gadget_deviations(ug: gadget.UGInstance, hidden: gadget.Labeling, q: float, 
 
 def suite_graph_invariants(seed: int = 0) -> list[CheckRow]:
     worst = [0.0] * len(GADGET_INVARIANTS)
-    rng = np.random.Generator(np.random.Philox(key=[seed, 7]))
+    rng = stream(seed, 7)
     for si, (U, V, L, D) in enumerate([(3, 3, 3, 2), (4, 2, 4, 2), (2, 4, 3, 2)]):
         ug, hidden = gadget.random_ug(U, V, L, D, seed=seed + si)
         for q, rho in GADGET_PARAMS:
@@ -193,7 +194,7 @@ def pair_rounding_errors(configs: list[tuple[float, float, float]],
 
 
 def suite_rounding_stats(seed: int = 0) -> list[CheckRow]:
-    configs = draw_pair_configs(np.random.Generator(np.random.Philox(key=[seed, 3])), 6)
+    configs = draw_pair_configs(stream(seed, 3), 6)
     z_mu, z_pair, margin = pair_rounding_errors(configs, [seed + i for i in range(6)])
     return [
         CheckRow("rounding-stats", "marginal_mean_zscore", z_mu, 4.0),

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccmax import curves
 from ccmax.curves import (
@@ -49,6 +50,16 @@ class TestKappa:
         for q in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(DomainError):
                 kappa(q)
+
+    @settings(max_examples=500, derandomize=True)
+    @given(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                     st.sampled_from([0.5, 0.365, 0.635, 0.7, 1 - 2.0**-53, 2.0**-1074])))
+    def test_lo_is_extremal_rho_bit_for_bit(self, q):
+        # the endpoint by branches: for q >= 1/2, 1 - q is exact (Sterbenz),
+        # so -(1-q)/(1-(1-q)) is -(1-q)/q to the bit
+        branch = -1.0 if q == 0.5 else -q / (1.0 - q) if q < 0.5 else -(1.0 - q) / q
+        assert kappa(q).lo == extremal_rho(q) == branch
+        assert kappa(q).lo_closed == (q != 0.5)
 
     def test_contains(self):
         assert kappa(0.25).contains(-1.0 / 3.0)

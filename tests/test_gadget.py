@@ -52,10 +52,8 @@ def build_gadget_oracle(ug: UGInstance, q: float, rho: float) -> WeightedGraph:
     n_v = ug.n_right * (1 << L)
     vertex_w = np.empty(n_v)
     base = biased_product_weights_oracle(q, L)
-    labels = []
     for v in range(ug.n_right):
         vertex_w[v << L: (v + 1) << L] = base / ug.n_right
-        labels.extend((v, x) for x in range(1 << L))
     degree = ug.degree
     norm = 1.0 / (ug.n_left * degree * degree)
     ea, eb, ew = [], [], []
@@ -75,8 +73,7 @@ def build_gadget_oracle(ug: UGInstance, q: float, rho: float) -> WeightedGraph:
                     eb.append((v2 << L) | y)
                     ew.append(weight)
     return WeightedGraph(vertex_weights=vertex_w, edge_a=np.asarray(ea, dtype=np.int64),
-                         edge_b=np.asarray(eb, dtype=np.int64), edge_w=np.asarray(ew),
-                         labels=tuple(labels))
+                         edge_b=np.asarray(eb, dtype=np.int64), edge_w=np.asarray(ew))
 
 
 def biased_product_weights_oracle(q: float, n_labels: int) -> np.ndarray:
@@ -290,7 +287,6 @@ class TestBuildGadgetOracle:
         assert got.edge_a.dtype == got.edge_b.dtype == np.int64
         assert got.edge_w.tobytes() == want.edge_w.tobytes()
         assert got.vertex_weights.tobytes() == want.vertex_weights.tobytes()
-        assert got.labels == want.labels
 
     @pytest.mark.parametrize("q", [0.1, 0.365, 0.5, 0.7])
     def test_biased_product_weights_match_scalar_loop(self, q):

@@ -22,6 +22,7 @@ from ccmax.gaussian import (
     std_normal_inv,
     std_normal_inv_vec,
     std_normal_pdf,
+    stream,
 )
 
 # mpmath (dps=40): exp(-1/2)/sqrt(2*pi)
@@ -174,6 +175,12 @@ class TestInv:
             std_normal_inv(0.0)
         with pytest.raises(DomainError, match="p >= 1"):
             std_normal_inv(1.0)
+        with pytest.raises(DomainError, match="0 < p < 1, got nan"):
+            std_normal_inv(math.nan)
+        # NaN fails both p <= 0 and p >= 1, so the array check is written as not 0 < p < 1
+        for p in ([0.3, math.nan], [[math.nan]], math.nan):
+            with pytest.raises(DomainError, match=r"0 < p < 1, got np\.float64\(nan\)"):
+                std_normal_inv_vec(np.asarray(p))
 
     def test_vectorized_matches_scalar(self):
         ps = np.linspace(0.001, 0.999, 57)
@@ -194,6 +201,22 @@ class TestInv:
         x = float(std_normal_inv_vec(p))
         tol = 8.0 * EPS * (abs(x) + p / std_normal_pdf(x))
         assert abs(x - float(std_normal_inv_oracle(p))) <= tol
+
+
+class TestStream:
+    def test_is_the_philox_pair_stream(self):
+        for seed in (0, 17, -1, -5, 2**40 + 7, 2**63 - 1):
+            for index in (0, 3):
+                want = np.random.Generator(np.random.Philox(key=[seed, index])).random(4)
+                assert np.array_equal(stream(seed, index).random(4), want)
+            if seed >= 0:  # the key random_instance used to pass
+                want = np.random.Generator(np.random.Philox(key=seed)).random(4)
+                assert np.array_equal(stream(seed).random(4), want)
+
+    def test_seeds_above_2_63_keep_their_own_streams(self):
+        # Philox(key=[seed, index]) rounds these seeds through float64
+        draws = {tuple(stream(seed).random(4)) for seed in (2**63, 2**63 + 1, 2**64 - 1)}
+        assert len(draws) == 3
 
 
 class TestGammaRho:

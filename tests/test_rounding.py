@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from sdp_oracles import objective_from_vectors, residuals_from_vectors
 
 from ccmax.errors import DomainError
 from ccmax.instance import (
@@ -31,7 +32,7 @@ from ccmax.rounding import (
     simulate_pair_products,
     stream,
 )
-from ccmax.sdp import SDPSolution, SolveOptions, objective_from_vectors, relax, residuals_from_vectors, solve_instance
+from ccmax.sdp import SDPSolution, SolveOptions, relax, solve_instance
 
 
 def integral_solution(inst: CCInstance, a: np.ndarray, dim: int = 3) -> SDPSolution:

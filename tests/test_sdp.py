@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from sdp_oracles import objective_from_vectors, relax_oracle, residuals_from_vectors
 
 from ccmax.curves import triangle_violation
 from ccmax.errors import DomainError, SizeGuardError
 from ccmax.instance import (
+    OR_PATTERNS,
     CCInstance,
     Constraint,
     Or,
@@ -19,23 +24,33 @@ from ccmax.instance import (
     random_instance,
 )
 from ccmax.rounding import round_best_of
-from ccmax.sdp import (
-    SDPSolution,
-    _Operators,
-    SolveOptions,
-    gram_matrix,
-    objective_from_vectors,
-    relax,
-    residuals_from_vectors,
-    solve,
-    solve_instance,
-    unconstrained,
-)
+from ccmax.sdp import SDPSolution, SolveOptions, gram_matrix, relax, solve, solve_instance
 
 
 def cycle(n: int, k: int) -> CCInstance:
     cons = tuple(Constraint(i, (i + 1) % n, 1.0, Xor(-1)) for i in range(n))
     return CCInstance(n=n, k=k, constraints=cons, problem="cut")
+
+
+KINDS = {
+    "cut": [Xor(-1)],
+    "2lin": [Xor(-1), Xor(1)],
+    "kvc": [Or((1, 1, -1))],
+    "2sat": [Or(p) for p in OR_PATTERNS],
+}
+
+
+@st.composite
+def any_instances(draw) -> CCInstance:
+    """Any of the four problems; self-loops, zero weights and no constraints included."""
+    problem = draw(st.sampled_from(sorted(KINDS)))
+    n = draw(st.integers(1, 9))
+    ends = st.integers(0, n - 1)
+    weights = st.one_of(st.just(0.0), st.floats(0.0, 1e6))
+    cons = draw(st.lists(st.builds(Constraint, ends, ends, weights,
+                                   st.sampled_from(KINDS[problem])), max_size=30))
+    assume(not cons or sum(c.weight for c in cons) > 0.0)
+    return CCInstance(n=n, k=draw(st.integers(0, n)), constraints=tuple(cons), problem=problem)
 
 
 def embed(a: np.ndarray, dim: int) -> np.ndarray:
@@ -50,8 +65,8 @@ class TestRelax:
         inst = CCInstance(n=2, k=1, constraints=(Constraint(0, 1, 1.0, Xor(-1)),), problem="cut")
         p = relax(inst)
         assert p.offset == 0.5
-        assert p.objective == ((1, 2, -0.5),)
-        assert p.triangle_pairs == ((1, 2),)
+        assert (p.obj_p.tolist(), p.obj_q.tolist(), p.obj_c.tolist()) == ([1], [2], [-0.5])
+        assert p.tri.tolist() == [[1, 2]]
         assert p.balance_target == 0.0  # 2k - n
 
     def test_dense_array_guard(self):
@@ -95,10 +110,21 @@ class TestRelax:
                                ((0, c.i + 1), lin_i), ((0, c.j + 1), lin_j)):
                 if abs(coeff) > 1e-15:
                     terms[key] = terms.get(key, 0.0) + c.weight * coeff
-        got = {(a, b): w for a, b, w in p.objective}
+        got = dict(zip(zip(p.obj_p.tolist(), p.obj_q.tolist()), p.obj_c.tolist()))
         assert set(got) == set(terms)
         for key in terms:
             assert got[key] == pytest.approx(terms[key], abs=1e-12)
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(any_instances())
+    def test_matches_constraint_loop_bit_for_bit(self, inst):
+        got, want = relax(inst), relax_oracle(inst)
+        assert got.offset.hex() == want.offset.hex()
+        assert (list(zip(got.obj_p.tolist(), got.obj_q.tolist()))
+                == [(p, q) for p, q, _ in want.objective])
+        assert [c.hex() for c in got.obj_c.tolist()] == [c.hex() for _, _, c in want.objective]
+        assert got.tri.tolist() == [list(pair) for pair in want.triangle_pairs]
+        assert (got.n, got.dim, got.balance_target) == (want.n, want.dim, want.balance_target)
 
     def test_self_loops_fold_into_offset(self):
         inst = CCInstance(n=2, k=1,
@@ -107,7 +133,7 @@ class TestRelax:
                           problem="cut")
         p = relax(inst)
         assert p.offset == 0.5  # the self-loop contributes (1-1)/2 = 0
-        assert p.triangle_pairs == ((1, 2),)
+        assert p.tri.tolist() == [[1, 2]]
 
 
 class TestCheckTriangle:
@@ -137,7 +163,7 @@ class TestSolve:
         assert sol.objective_value == pytest.approx(4.0, abs=1e-6)
 
     def test_five_cycle_gap_and_gram_oracle(self):
-        prob = unconstrained(relax(cycle(5, 2)))
+        prob = replace(relax(cycle(5, 2)), balance_target=None)
         sol = solve(prob, SolveOptions(restarts=3, max_iters=20000, seed=5))
         assert sol.objective_value / 5 == pytest.approx(0.90450849718747, abs=1e-4)
         _, opt = brute_force_opt(cycle(5, 2))
@@ -146,7 +172,8 @@ class TestSolve:
         G = gram_matrix(sol)
         eig = np.linalg.eigvalsh(G)
         assert eig.min() >= -1e-9
-        recomputed = prob.offset + sum(c * G[p, q] for p, q, c in prob.objective)
+        recomputed = prob.offset + sum(c * G[p, q] for p, q, c in
+                                       zip(prob.obj_p, prob.obj_q, prob.obj_c))
         assert recomputed == pytest.approx(sol.objective_value, abs=1e-9)
 
     def test_dominates_integral_optimum(self):
@@ -176,6 +203,27 @@ class TestSolve:
         again = residuals_from_vectors(p, sol.vectors)
         for key, val in sol.residuals.items():
             assert again[key] == pytest.approx(val, abs=1e-12)
+
+    @pytest.mark.parametrize("max_iters, seeded", [(3000, True), (3000, False), (5, False)])
+    def test_solution_matches_loop_evaluators(self, max_iters, seeded):
+        # the reported objective, residuals and rho are read off the chosen
+        # iterate's pieces and Gram matrix; the loops recompute them from rows
+        for seed in range(3):
+            inst = random_instance(11, 4, 30, problem=("cut", "2sat", "2lin")[seed], seed=seed)
+            p = relax(inst)
+            a = brute_force_opt(inst)[0] if seeded else None
+            sol = solve(p, SolveOptions(restarts=2, max_iters=max_iters, seed=seed),
+                        integral_seed=a)
+            V = sol.vectors
+            assert sol.objective_value == pytest.approx(objective_from_vectors(p, V), abs=1e-12)
+            want = residuals_from_vectors(p, V)
+            assert sol.residuals.keys() == want.keys()
+            for key, val in want.items():
+                assert sol.residuals[key] == pytest.approx(val, abs=1e-12)
+            assert list(sol.rho) == [(i - 1, j - 1) for i, j in p.tri.tolist()]
+            for (i, j), rho in sol.rho.items():
+                assert rho == pytest.approx(float(V[i + 1] @ V[j + 1]), abs=1e-12)
+            assert np.array_equal(sol.mu, V[1:] @ V[0])
 
     def test_unit_norms(self):
         inst = random_instance(7, 3, 14, problem="2lin", seed=3)
@@ -212,10 +260,7 @@ def dense_dloss_dgram(problem, V, lam, sigma_bal, sigma_tri):
     solver's precomputed flat Gram indices and scatter.
     """
     size = problem.n + 1
-    tri = np.array(problem.triangle_pairs, dtype=np.int64).reshape(-1, 2)
-    obj_p = np.array([p for p, _, _ in problem.objective], dtype=np.int64)
-    obj_q = np.array([q for _, q, _ in problem.objective], dtype=np.int64)
-    obj_c = np.array([c for _, _, c in problem.objective])
+    tri, obj_p, obj_q, obj_c = problem.tri, problem.obj_p, problem.obj_q, problem.obj_c
     signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
     mu = V[1:] @ V[0]
     h = float(np.sum(mu)) - problem.balance_target if problem.balance_target is not None else 0.0
@@ -246,7 +291,7 @@ class TestOperators:
         for seed in range(3):
             p = relax(random_instance(13, 5, 40, problem=problem, seed=seed))
             if not balanced:
-                p = unconstrained(p)
+                p = replace(p, balance_target=None)
             # near-planar unit vectors: spread-out triples violate triangles
             rng = np.random.default_rng(seed)
             V = 0.1 * rng.standard_normal((p.n + 1, p.dim))
@@ -254,8 +299,7 @@ class TestOperators:
             V[:, 0] += np.cos(theta)
             V[:, 1] += np.sin(theta)
             V /= np.linalg.norm(V, axis=1, keepdims=True)
-            ops = _Operators(p)
-            cur = ops.pieces(V)
+            cur = p.pieces(V)
             M_ref, h_ref, viol_ref = dense_dloss_dgram(p, V, 0.7, 30.0, 100.0)
             assert viol_ref.max() > 0.05  # triangle penalties are active
             assert cur.obj == pytest.approx(objective_from_vectors(p, V), abs=1e-12)
@@ -263,7 +307,7 @@ class TestOperators:
             assert cur.viol_max == pytest.approx(viol_ref.max(), abs=1e-12)
             assert cur.viol_sq == pytest.approx(np.sum(viol_ref ** 2), abs=1e-12)
             np.testing.assert_allclose(cur.viol, viol_ref, rtol=0, atol=1e-12)
-            M = ops.dloss_dgram(0.7, 30.0, 100.0, cur)
+            M = p.dloss_dgram(0.7, 30.0, 100.0, cur)
             np.testing.assert_allclose(M, M_ref, rtol=0, atol=1e-12)
             np.testing.assert_allclose(2.0 * (M @ V), 2.0 * (M_ref @ V), rtol=0, atol=1e-12)
 
@@ -283,7 +327,7 @@ class TestDomainEdges:
         assert sol.objective_value >= opt - 1e-9
         assert sol.residuals["balance"] <= 1e-5
         assert sol.mu.shape == (inst.n,)
-        if not p.triangle_pairs:
+        if not p.tri.size:
             assert sol.rho == {}
         report = round_best_of(sol, inst, rounds=5, seed=1)
         assert cardinality(report.best_assignment) == inst.k
