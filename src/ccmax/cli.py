@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,21 @@ def _header_lines(sub: str, args: argparse.Namespace) -> list[str]:
         parts.append(f"--{key.replace('_', '-')}={getattr(args, key)}")
     seed = getattr(args, "seed", "none")
     return [f"# ccmax {__version__} | {sub} | {' '.join(parts)} | seed={seed}"]
+
+
+def _rho_arg(text: str) -> float | str:
+    """A correlation, or `extremal`: the left end of kappa(q) at the command's q."""
+    if text == "extremal":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid correlation {text!r}: give a number or 'extremal'") from None
+
+
+def _rho_at(rho: float | str, q: float) -> float:
+    return curves.extremal_rho(q) if rho == "extremal" else rho
 
 
 def _write(path: str, lines: list[str]) -> None:
@@ -138,7 +154,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_gadget(args) -> int:
     ug = gadget.parse_ug(Path(args.ug).read_text(encoding="utf-8"))
-    graph = gadget.build_gadget(ug, args.q, args.rho)
+    graph = gadget.build_gadget(ug, args.q, _rho_at(args.rho, args.q))
     lines = _header_lines("gadget", args)
     lines.append(gadget.format_graph(graph).rstrip("\n"))
     _write(args.out, lines)
@@ -150,11 +166,13 @@ def _cmd_density(args) -> int:
     graph = gadget.parse_graph(Path(args.graph).read_text(encoding="utf-8"))
     mode = "exact" if args.mode == "exact" else "local_search"
     profile = gadget.density_profile(graph, args.r, mode=mode, seed=args.seed)
-    for s in profile.samples:
+    # the threshold gamma_rho(r, r) reads each r as q; resolved before any row prints
+    rhos = [None if args.rho is None else _rho_at(args.rho, s.r) for s in profile.samples]
+    for s, rho in zip(profile.samples, rhos):
         line = (f"r={_fmt(s.r)} min_density={_fmt(s.min_density_found)} "
                 f"method={s.method} candidates={s.n_candidates}")
-        if args.rho is not None:
-            threshold = gamma_rho(args.rho, s.r, s.r) - args.eps
+        if rho is not None:
+            threshold = gamma_rho(rho, s.r, s.r) - args.eps
             verdict = "DENSE" if s.min_density_found >= threshold else "SPARSE"
             line += f" threshold={_fmt(threshold)} {verdict}"
         print(line)
@@ -164,9 +182,10 @@ def _cmd_density(args) -> int:
 def _cmd_completeness(args) -> int:
     ug = gadget.parse_ug(Path(args.ug).read_text(encoding="utf-8"))
     labeling = gadget.parse_labeling(Path(args.labeling).read_text(encoding="utf-8"), ug)
-    graph = gadget.build_gadget(ug, args.q, args.rho)
-    mask, w_s, cut = gadget.completeness_set(ug, labeling, graph, args.q, args.rho)
-    t = (args.q - args.q**2) * (1 - args.rho)
+    rho = _rho_at(args.rho, args.q)
+    graph = gadget.build_gadget(ug, args.q, rho)
+    mask, w_s, cut = gadget.completeness_set(ug, labeling, graph, args.q, rho)
+    t = (args.q - args.q**2) * (1 - rho)
     print(f"ug_value {_fmt(gadget.ug_value(ug, labeling))}")
     print(f"set_size {int(np.sum(mask))}")
     print(f"set_weight {_fmt(w_s)}")
@@ -233,10 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report")
     p.set_defaults(func=_cmd_solve)
 
+    extremal = "a correlation, or 'extremal' for the left end of kappa(q)"
     p = sub.add_parser("gadget", help="build the reduction graph")
     p.add_argument("--ug", required=True)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
+    p.add_argument("--rho", type=_rho_arg, required=True, help=extremal)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gadget)
 
@@ -245,8 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exact", "search"], required=True)
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--r", type=float, nargs="+", default=[0.25, 0.5, 0.75])
-    p.add_argument("--rho", type=float,
-                   help="report the density threshold at this correlation")
+    p.add_argument("--rho", type=_rho_arg,
+                   help="report the density threshold at this correlation; "
+                        "'extremal' takes the left end of kappa(r) for each r")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_density)
 
@@ -254,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ug", required=True)
     p.add_argument("--labeling", required=True)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
+    p.add_argument("--rho", type=_rho_arg, required=True, help=extremal)
     p.set_defaults(func=_cmd_completeness)
 
     p = sub.add_parser("verify", help="run invariant suites")
@@ -268,14 +289,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except SizeGuardError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 3
-    except (CcmaxError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            code = args.func(args)
+        except SizeGuardError as exc:
+            code, error = 3, f"refused: {exc}"
+        except (CcmaxError, OSError, UnicodeDecodeError) as exc:
+            code, error = 2, f"error: {exc}"
+    # a warning names the input file (or the command), not the package line that raised it
+    source = next((getattr(args, key) for key in ("input", "ug", "graph") if hasattr(args, key)),
+                  args.command)
+    for w in caught:
+        print(f"warning: {source}: {w.message}", file=sys.stderr)
+    if error:
+        print(error, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -345,6 +345,20 @@ def _all_subset_stats(graph: WeightedGraph, chunk: int = 1 << 18) -> tuple[np.nd
     return ws, wss
 
 
+def _incidence(graph: WeightedGraph) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Row pointers, other endpoints and weights of each vertex's incident edges.
+
+    A loop is listed once, in its vertex's row.
+    """
+    loop = graph.edge_a == graph.edge_b
+    ends = np.concatenate([graph.edge_a, graph.edge_b[~loop]])
+    other = np.concatenate([graph.edge_b, graph.edge_a[~loop]])
+    w = np.concatenate([graph.edge_w, graph.edge_w[~loop]])
+    order = np.argsort(ends, kind="stable")
+    ptr = np.searchsorted(ends[order], np.arange(graph.n_vertices + 1))
+    return ptr.tolist(), other[order], w[order]
+
+
 def density_profile(
     graph: WeightedGraph,
     r_grid: Sequence[float],
@@ -360,8 +374,15 @@ def density_profile(
     taken in a random order until the weight reaches the window) it
     sweeps the vertices in index order, keeping each single-vertex flip
     that stays in the window and lowers the internal weight, and sweeps
-    again until a sweep keeps none.  Each target r is a fraction of the
-    unit total vertex weight, so it must lie in [0, 1].
+    again until a sweep keeps none.  Each flip is screened in O(degree):
+    `acc +- w_v` against the window widened by a bound on the rounding of
+    any summation order, then the vertex's incident weight into the set,
+    since with no such edge the selected edges and so their sum stay the
+    same, and an added weight above the edge sum's rounding bound must
+    raise it.  Only the flips the screen leaves open are summed exactly,
+    with the unscreened search's tests, so every kept flip and every
+    minimum is that search's bit for bit.  Each target r is a fraction
+    of the unit total vertex weight, so it must lie in [0, 1].
     """
     rs = [float(r) for r in r_grid]
     if not rs:
@@ -390,7 +411,12 @@ def density_profile(
     if mode != "local_search":
         raise DomainError(f"unknown mode {mode!r}")
 
-    weights = graph.vertex_weights
+    weights = graph.vertex_weights.tolist()
+    ptr, nbr, nbr_w = _incidence(graph)
+    eps = np.finfo(float).eps
+    # any order of summing n vertex weights (or E edge weights) is within this of any other
+    w_band = 4 * (n + 1) * eps * graph.total_vertex_weight()
+    rise = 4 * (graph.edge_w.size + 1) * eps * graph.total_edge_weight() + 1e-15
     samples = []
     for r in rs:
         best = math.inf
@@ -409,20 +435,38 @@ def density_profile(
             if not (r - tol_r <= acc <= r + tol_r):
                 continue
             found += 1
+            acc = graph.subset_weight(mask)
             cur = graph.internal_weight(mask)
             improved = True
             while improved:
                 improved = False
                 for v in range(n):
-                    mask[v] = ~mask[v]
-                    w_new = graph.subset_weight(mask)
-                    if abs(w_new - r) <= tol_r:
-                        cand = graph.internal_weight(mask)
-                        if cand < cur - 1e-15:
-                            cur = cand
-                            improved = True
+                    adding = not mask[v]
+                    lo = (acc + weights[v] if adding else acc - weights[v]) - w_band
+                    hi = lo + 2 * w_band
+                    lo_in, hi_in = abs(lo - r) <= tol_r, abs(hi - r) <= tol_r
+                    if not (lo_in and hi_in):
+                        if not (lo_in or hi_in or lo <= r <= hi):
+                            continue  # the whole band lies on one side of the window
+                        mask[v] = adding
+                        in_window = abs(graph.subset_weight(mask) - r) <= tol_r
+                        mask[v] = not adding
+                        if not in_window:
                             continue
-                    mask[v] = ~mask[v]
+                    other = nbr[ptr[v]:ptr[v + 1]]
+                    into = mask[other] | (other == v)
+                    if not into.any():
+                        continue  # the same edges stay selected: the same sum
+                    if adding and float(np.sum(nbr_w[ptr[v]:ptr[v + 1]][into])) > rise:
+                        continue  # the sum must rise
+                    mask[v] = adding
+                    cand = graph.internal_weight(mask)
+                    if cand < cur - 1e-15:
+                        cur = cand
+                        acc = graph.subset_weight(mask)
+                        improved = True
+                        continue
+                    mask[v] = not adding
             best = min(best, cur)
         samples.append(DensitySample(r, best, "local_search", found))
     return DensityProfile(tuple(samples), tol_r)

@@ -8,8 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ccmax import __version__
 from ccmax.cli import main
+from ccmax.curves import extremal_rho
 from ccmax.gadget import format_ug, random_ug
+from ccmax.gaussian import gamma_rho
 from ccmax.instance import CCInstance, Constraint, Xor, format_instance
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -185,7 +188,7 @@ class TestGadgetPipeline:
                     if ln.startswith("ccmax ")]
         assert [argv[1] for argv in commands] == [
             "gamma", "curves", "curves", "brute", "sdp", "solve",
-            "gadget", "density", "completeness", "verify"]
+            "gadget", "density", "density", "completeness", "verify"]
         example = text.split("Instance (`ccmax v1`):")[1].split("```")[1]
         (tmp_path / "instance.ccmax").write_text(example.lstrip("\n"), encoding="utf-8")
         monkeypatch.chdir(tmp_path)
@@ -237,15 +240,78 @@ class TestGadgetPipeline:
         ug_path.write_text(f"ug v1\nleft 1\nright {right}\nlabels {labels}\ndegree 1\n"
                            f"e 1 1 {perm}\n", encoding="utf-8")
         graph_path = tmp_path / "wide.graph"
-        with pytest.warns(UserWarning, match="right-regular"):
-            code = main(["gadget", "--ug", str(ug_path), "--q", "0.4", "--rho", "-0.3",
-                         "--out", str(graph_path)])
+        code = main(["gadget", "--ug", str(ug_path), "--q", "0.4", "--rho", "-0.3",
+                     "--out", str(graph_path)])
         assert code == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == (f"refused: refusing to build gadget with {right} * 2^{labels} = "
+        assert err == (f"warning: {ug_path}: unique games instance is not right-regular; "
+                       f"gadget half-incidence invariants will not hold exactly\n"
+                       f"refused: refusing to build gadget with {right} * 2^{labels} = "
                        f"{right << labels} vertices (> 5000000)\n")
         assert not graph_path.exists()
+
+    def test_rho_extremal_is_the_left_end_of_kappa(self, ug_file, tmp_path, capsys):
+        ug_path, lab_path = ug_file
+        q = 0.365
+        lo = extremal_rho(q)
+        graphs = {}
+        for rho in ("extremal", repr(lo)):
+            graphs[rho] = tmp_path / f"{rho}.graph"
+            assert main(["gadget", "--ug", str(ug_path), "--q", str(q), "--rho", rho,
+                         "--out", str(graphs[rho])]) == 0
+        header, body = graphs["extremal"].read_text().split("\n", 1)
+        assert "--rho=extremal " in header
+        assert body == graphs[repr(lo)].read_text().split("\n", 1)[1]
+        capsys.readouterr()
+        outs = []
+        for rho in ("extremal", repr(lo)):
+            assert main(["completeness", "--ug", str(ug_path), "--labeling", str(lab_path),
+                         "--q", str(q), "--rho", rho]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_numeric_rho_keeps_the_header(self, ug_file, tmp_path):
+        graph_path = tmp_path / "g.graph"
+        assert main(["gadget", "--ug", str(ug_file[0]), "--q", "0.365", "--rho", "-0.5748",
+                     "--out", str(graph_path)]) == 0
+        assert graph_path.read_text().splitlines()[0] == (
+            f"# ccmax {__version__} | gadget | --command=gadget --q=0.365 --rho=-0.5748 "
+            f"--ug={ug_file[0]} | seed=none")
+
+    def test_density_rho_extremal_at_each_r(self, ug_file, tmp_path, capsys):
+        graph_path = tmp_path / "g.graph"
+        assert main(["gadget", "--ug", str(ug_file[0]), "--q", "0.4", "--rho", "-0.3",
+                     "--out", str(graph_path)]) == 0
+        rs = [0.25, 0.4, 0.7]
+        capsys.readouterr()
+        assert main(["density", "--graph", str(graph_path), "--mode", "search", "--eps", "0.01",
+                     "--r", *map(str, rs), "--rho", "extremal"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == len(rs)
+        for r, row in zip(rs, rows):
+            threshold = gamma_rho(extremal_rho(r), r, r) - 0.01
+            assert f" threshold={threshold:.12g} " in row
+
+    @pytest.mark.parametrize("r", ["0", "1"])
+    def test_density_rho_extremal_needs_r_inside_the_unit_interval(self, r, ug_file, tmp_path,
+                                                                   capsys):
+        graph_path = tmp_path / "g.graph"
+        assert main(["gadget", "--ug", str(ug_file[0]), "--q", "0.4", "--rho", "-0.3",
+                     "--out", str(graph_path)]) == 0
+        capsys.readouterr()
+        assert main(["density", "--graph", str(graph_path), "--mode", "exact",
+                     "--r", "0.5", r, "--rho", "extremal"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: q must lie strictly inside (0, 1), got {float(r)!r}\n"
+
+    def test_rho_must_be_a_number_or_extremal(self, ug_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gadget", "--ug", str(ug_file[0]), "--q", "0.4", "--rho", "lowest",
+                  "--out", str(tmp_path / "g.graph")])
+        assert exc.value.code == 2
+        assert "invalid correlation 'lowest'" in capsys.readouterr().err
 
     def test_density_guard(self, tmp_path, capsys):
         ug, _ = random_ug(1, 1, 5, 1, seed=0)

@@ -17,10 +17,12 @@ from format_oracles import (
     parse_ug_oracle,
     same_graph,
 )
+from gadget_oracles import local_search_oracle
 from mutations import cut_short, decorated, one_token_replaced
 
 from ccmax.errors import CcmaxError, DomainError, FormatError, SizeGuardError
 from ccmax.gadget import (
+    DENSITY_RESTARTS,
     Labeling,
     NuDistribution,
     UGInstance,
@@ -130,6 +132,13 @@ def hand_made_graph(weights: list[float], loops: bool) -> WeightedGraph:
                          edge_w=np.array(weights))
 
 
+def loop_graph(vertex_weights: list[float], at: list[int], weights: list[float]) -> WeightedGraph:
+    """Edge i is a loop at vertex at[i]."""
+    ends = np.array(at, dtype=np.int64)
+    return WeightedGraph(vertex_weights=np.array(vertex_weights), edge_a=ends, edge_b=ends,
+                         edge_w=np.array(weights))
+
+
 @st.composite
 def labelings(draw, ug: UGInstance) -> tuple[Labeling, list[str]]:
     """A labeling of `ug` and its rows, in file order."""
@@ -154,6 +163,24 @@ def small_graphs(draw) -> WeightedGraph:
         edge_a=np.array(draw(ends), dtype=np.int64),
         edge_b=np.array(draw(ends), dtype=np.int64),
         edge_w=np.array(draw(st.lists(weights, min_size=m, max_size=m)), dtype=float))
+
+
+@st.composite
+def search_graphs(draw) -> WeightedGraph:
+    """Loops, zero and 1e-14-scale edge weights; vertex weights on a grid whose
+    sums land on the window edges r +- tol_r up to rounding."""
+    n = draw(st.integers(1, 10))
+    unit = draw(st.sampled_from([0.05, 1 / 16, 0.1, 1 / 3]))
+    scale = draw(st.sampled_from([1.0, 1e-14]))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans(),
+                                    st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0)),
+                          max_size=3 * n))
+    ends = [(a, a if loop else b, w * scale) for a, b, loop, w in edges]
+    a, b, w = (list(col) for col in zip(*ends)) if ends else ([], [], [])
+    return WeightedGraph(
+        vertex_weights=np.array(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))) * unit,
+        edge_a=np.array(a, dtype=np.int64), edge_b=np.array(b, dtype=np.int64),
+        edge_w=np.array(w, dtype=float))
 
 
 class TestNu:
@@ -412,6 +439,47 @@ class TestDensityProfile:
         exact = density_profile(g, [0.4], mode="exact", tol_r=0.05)
         search = density_profile(g, [0.4], mode="local_search", tol_r=0.05, seed=3)
         assert search.samples[0].min_density_found >= exact.samples[0].min_density_found - 1e-12
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    # removing vertex 0: acc - w_0 lies on the window edge, its exact sum just outside
+    @example(loop_graph([0.2, 0.1], [0], [1.0]), [0.1 + 0.2], None, 0)
+    # adding vertex 2 selects its loops of weight 0 and 1e-13 and reorders a sum that then
+    # rounds lower by more than 1e-15, so the unscreened search keeps that flip
+    @example(loop_graph([0.2, 0.2, 0.0], [2, 1, 0, 1, 2, 0, 1, 0, 1, 0, 1, 1],
+                        [1e-13, 0.0, 630.5, 0.0, 0.0, 284.3, 711.997, 468.7, 0.0, 681.7, 343.1,
+                         854.32105]),
+             [0.4], None, 7)
+    @given(search_graphs(),
+           st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 1.0]), min_size=1,
+                    max_size=3),
+           st.sampled_from([None, 1e-9, 0.05]), st.integers(0, 50))
+    def test_local_search_equals_unscreened_search(self, g, rs, tol_r, seed):
+        got = density_profile(g, rs, mode="local_search", seed=seed, tol_r=tol_r)
+        want = local_search_oracle(g, rs, seed=seed, tol_r=tol_r)
+        assert got == want
+
+    def test_local_search_sums_exactly_only_fills_and_kept_flips(self, monkeypatch):
+        ug, _ = random_ug(3, 3, 6, 2, seed=17)
+        g = build_gadget(ug, 0.365, extremal_rho(0.365))
+        rs = [0.25, 0.5, 0.75]
+        want = local_search_oracle(g, rs)
+        calls = []
+        internal_weight = WeightedGraph.internal_weight
+
+        def recorded(self, mask):
+            value = internal_weight(self, mask)
+            calls.append((np.array(mask), value))
+            return value
+
+        monkeypatch.setattr(WeightedGraph, "internal_weight", recorded)
+        prof = density_profile(g, rs, mode="local_search")
+        assert prof == want
+        fills = sum(s.n_candidates for s in prof.samples)
+        # a kept flip changes one vertex of the set summed before it and lowers the sum
+        kept = sum(1 for (m0, w0), (m1, w1) in zip(calls, calls[1:])
+                   if np.count_nonzero(m0 != m1) == 1 and w1 < w0 - 1e-15)
+        assert fills == 3 * DENSITY_RESTARTS and kept > 0
+        assert len(calls) == fills + kept
 
     @pytest.mark.parametrize("r", [-1.0, -1e-300, 1.5, 1.0 + 1e-15, math.inf,
                                    -math.inf, math.nan])
