@@ -10,6 +10,7 @@ all randomness is counter-based from the given seed).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -22,6 +23,7 @@ from .gaussian import gamma_rho
 from .instance import CCInstance, brute_force_opt, cardinality, parse_instance
 
 _BRUTE_SEED_MAX_N = 18
+MAX_CURVE_POINTS = 100_000  # the README's and the benchmark's `curves` grids hold under 250
 
 
 def _fmt(x: float) -> str:
@@ -68,8 +70,14 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_curves(args) -> int:
-    if args.step <= 0:
-        raise DomainError("--step must be positive")
+    if not (all(map(math.isfinite, (args.q_min, args.q_max, args.step))) and args.step > 0):
+        raise DomainError("--q-min, --q-max and --step must be finite, and --step positive")
+    # a step of at least the float spacing at the largest |q| moves every q of the loop
+    if args.step < math.ulp(max(abs(args.q_min), abs(args.q_max + 1e-12))):
+        raise DomainError(f"--step {args.step!r} is too small to move q")
+    count = math.floor((args.q_max + 1e-12 - args.q_min) / args.step) + 1
+    if count > MAX_CURVE_POINTS:
+        raise SizeGuardError(f"curve grid refused: {count} points (> {MAX_CURVE_POINTS})")
     qs = []
     q = args.q_min
     while q <= args.q_max + 1e-12:
@@ -103,7 +111,7 @@ def _relax_and_solve(args) -> tuple[CCInstance, float | None, sdp.SDPSolution]:
     inst = parse_instance(Path(args.input).read_text(encoding="utf-8"))
     opt_a, opt = brute_force_opt(inst) if inst.n <= _BRUTE_SEED_MAX_N else (None, None)
     opts = sdp.SolveOptions(
-        restarts=args.restarts, max_iters=args.max_iters, tol=args.tol, seed=args.seed)
+        restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     return inst, opt, sdp.solve_instance(inst, opts, integral_seed=opt_a)
 
 
@@ -184,7 +192,7 @@ def _cmd_completeness(args) -> int:
     labeling = gadget.parse_labeling(Path(args.labeling).read_text(encoding="utf-8"), ug)
     rho = _rho_at(args.rho, args.q)
     graph = gadget.build_gadget(ug, args.q, rho)
-    mask, w_s, cut = gadget.completeness_set(ug, labeling, graph, args.q, rho)
+    mask, w_s, cut = gadget.completeness_set(ug, labeling, graph)
     t = (args.q - args.q**2) * (1 - rho)
     print(f"ug_value {_fmt(gadget.ug_value(ug, labeling))}")
     print(f"set_size {int(np.sum(mask))}")
@@ -241,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     solver.add_argument("--restarts", type=int, default=3)
     solver.add_argument("--seed", type=int, default=0)
     solver.add_argument("--max-iters", type=int, default=50_000)
-    solver.add_argument("--tol", type=float, default=1e-6)
 
     p = sub.add_parser("sdp", parents=[solver], help="solve the vector relaxation")
     p.add_argument("--dump-gram")

@@ -66,6 +66,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Points in the dense rho scan that seeds each minimization.
 _SCAN_POINTS = 512
+_RHO_TOL = 1e-8  # bracket width at which the golden section over rho stops
 
 Problem = Literal["cut", "vc", "2sat"]
 
@@ -76,23 +77,22 @@ class RhoInterval:
 
     lo: float
     lo_closed: bool
-    hi_open: float = 0.0
 
-    def contains(self, rho: float, tol: float = 1e-12) -> bool:
-        if rho >= self.hi_open:
+    def contains(self, rho: float) -> bool:
+        if rho >= 0.0:
             return False
         if self.lo_closed:
-            return rho >= self.lo - tol
+            return rho >= self.lo - 1e-12
         return rho > self.lo
 
     def __str__(self) -> str:
         left = "[" if self.lo_closed else "("
-        return f"{left}{self.lo:.12g}, {self.hi_open:g})"
+        return f"{left}{self.lo:.12g}, 0)"
 
 
-def _check_q(q: float, name: str = "q") -> None:
+def _check_q(q: float) -> None:
     if not (isinstance(q, (int, float)) and math.isfinite(q) and 0.0 < q < 1.0):
-        raise DomainError(f"{name} must lie strictly inside (0, 1), got {q!r}")
+        raise DomainError(f"q must lie strictly inside (0, 1), got {q!r}")
 
 
 def kappa(q: float) -> RhoInterval:
@@ -128,27 +128,25 @@ def beta_vc(q: float, rho):
     return _beta_vc(q, rho)
 
 
-def minimize_over_rho(f: Callable, q: float, tol: float = 1e-8) -> tuple[float, float]:
+def minimize_over_rho(f: Callable, q: float) -> tuple[float, float]:
     """Minimize a curve function over rho in kappa(q).
 
     f takes a float or an array of rhos.  It is called once on a dense
     scan of _SCAN_POINTS points, then on floats by golden-section
-    refinement of the best bracket; the scan hedges against
-    non-unimodality.  The open right endpoint rho -> 0- has the analytic
-    limit value 1 and is never a minimizer; the left endpoint is
-    evaluated exactly when closed.  Returns (rho_star, value).
+    refinement of the best bracket down to width _RHO_TOL; the scan
+    hedges against non-unimodality.  The open right endpoint rho -> 0-
+    has the analytic limit value 1 and is never a minimizer; the left
+    endpoint is evaluated exactly when closed.  Returns (rho_star, value).
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
     iv = kappa(q)
-    span = iv.hi_open - iv.lo
+    span = -iv.lo
     start = iv.lo if iv.lo_closed else iv.lo + span / _SCAN_POINTS
     grid = np.linspace(start, -1e-9, _SCAN_POINTS)
     vals = f(grid)
     i = int(np.argmin(vals))
 
     m, fm = find_local_min_q(
-        f, float(grid[max(0, i - 1)]), float(grid[min(_SCAN_POINTS - 1, i + 1)]), tol)
+        f, float(grid[max(0, i - 1)]), float(grid[min(_SCAN_POINTS - 1, i + 1)]), _RHO_TOL)
     candidates = [(float(fm), m), (float(vals[i]), float(grid[i]))]
     if iv.lo_closed:
         candidates.append((float(f(iv.lo)), iv.lo))
@@ -244,27 +242,27 @@ def _conf_ratio_cut(mu1, mu2, rho):
 class FullConfResult:
     configuration: Configuration
     value: float
-    near_optima: tuple[tuple[Configuration, float], ...]
 
 
-def _rho_range(mu1: float, mu2: float) -> tuple[float, float]:
+def _rho_range(mu1, mu2):
+    """Feasible segment of the third coordinate given two (floats or arrays)."""
     return -1.0 + abs(mu1 + mu2), 1.0 - abs(mu1 - mu2)
 
 
-def full_conf_alpha_cut(grid_density: int = 40, refine_tol: float = 1e-9) -> FullConfResult:
+def full_conf_alpha_cut(grid_density: int = 40) -> FullConfResult:
     """Global minimum of the cut rounding ratio over the full polytope.
 
     Multi-start grid scan plus coordinate descent (golden section along
-    each coordinate's feasible segment).  Returns the best configuration
-    and all distinct local minima found within 1e-4 of it.
+    each coordinate's feasible segment, until a sweep gains less than
+    1e-9), and a line search along the rho-boundary diagonal.  Returns
+    the best configuration found and its value.
     """
     if grid_density < 20:
         raise DomainError(f"grid_density must be >= 20, got {grid_density}")
 
     mus = np.linspace(-0.98, 0.98, grid_density)
     m1g, m2g = np.meshgrid(mus, mus, indexing="ij")
-    lo = -1.0 + np.abs(m1g + m2g)
-    hi = 1.0 - np.abs(m1g - m2g)
+    lo, hi = _rho_range(m1g, m2g)
     ts = np.linspace(0.0, 1.0, grid_density)
     M1 = np.repeat(m1g[..., None], grid_density, axis=-1)
     M2 = np.repeat(m2g[..., None], grid_density, axis=-1)
@@ -299,13 +297,12 @@ def full_conf_alpha_cut(grid_density: int = 40, refine_tol: float = 1e-9) -> Ful
         val = scalar(m1, m2, r)
         for _ in range(200):
             prev = val
-            # mu1 given (mu2, rho): feasible [-1 + |mu2 + rho|, 1 - |mu2 - rho|]
-            a1 = max(-0.999999, -1.0 + abs(m2 + r))
-            b1 = min(0.999999, 1.0 - abs(m2 - r))
+            a1, b1 = _rho_range(m2, r)
+            a1, b1 = max(-0.999999, a1), min(0.999999, b1)
             if b1 > a1:
                 m1, _ = find_local_min_q(lambda t: scalar(t, m2, r), a1, b1, 1e-9)
-            a2 = max(-0.999999, -1.0 + abs(m1 + r))
-            b2 = min(0.999999, 1.0 - abs(m1 - r))
+            a2, b2 = _rho_range(m1, r)
+            a2, b2 = max(-0.999999, a2), min(0.999999, b2)
             if b2 > a2:
                 m2, _ = find_local_min_q(lambda t: scalar(m1, t, r), a2, b2, 1e-9)
             ar, br = _rho_range(m1, m2)
@@ -315,7 +312,7 @@ def full_conf_alpha_cut(grid_density: int = 40, refine_tol: float = 1e-9) -> Ful
                 ev = scalar(m1, m2, edge)
                 if ev < val:
                     r, val = edge, ev
-            if prev - val < refine_tol:
+            if prev - val < 1e-9:
                 break
         minima.append((val, m1, m2, r))
 
@@ -323,21 +320,9 @@ def full_conf_alpha_cut(grid_density: int = 40, refine_tol: float = 1e-9) -> Ful
     # nonnegative-sum representative of each minimum
     minima = [(v, m1, m2, r) if m1 + m2 >= 0 else (v, -m1, -m2, r)
               for v, m1, m2, r in minima]
-    minima.sort()
-    best_val = minima[0][0]
-    distinct: list[tuple[float, float, float, float]] = []
-    for rec in minima:
-        if all(max(abs(rec[1] - d[1]), abs(rec[2] - d[2]), abs(rec[3] - d[3])) > 1e-3
-               for d in distinct):
-            distinct.append(rec)
-    near = tuple(
-        (Configuration(m1, m2, np.clip(r, *_rho_range(m1, m2))), v)
-        for v, m1, m2, r in distinct
-        if v <= best_val + 1e-4
-    )
-    v0, m1, m2, r0 = minima[0]
+    v0, m1, m2, r0 = min(minima)
     cfg = Configuration(m1, m2, float(np.clip(r0, *_rho_range(m1, m2))))
-    return FullConfResult(configuration=cfg, value=v0, near_optima=near)
+    return FullConfResult(configuration=cfg, value=v0)
 
 
 @dataclass(frozen=True)

@@ -284,11 +284,11 @@ def build_gadget(ug: UGInstance, q: float, rho: float) -> WeightedGraph:
     )
 
 
-def completeness_set(
-    ug: UGInstance, z: Labeling, graph: WeightedGraph, q: float, rho: float
-) -> tuple[np.ndarray, float, float]:
+def completeness_set(ug: UGInstance, z: Labeling,
+                     graph: WeightedGraph) -> tuple[np.ndarray, float, float]:
     """Set {(v, x): x_{z(v)} = 1}; returns (mask, weight, cut weight).
 
+    `graph` is `build_gadget(ug, q, rho)`, which has validated (q, rho).
     For a labeling satisfying every constraint the cut weight equals
     2t = 2 q (1-q)(1-rho) exactly; a fraction gamma of violated
     constraints degrades it to at least 2t(1-gamma)^2.
@@ -303,7 +303,6 @@ def completeness_set(
         if not (0 <= lab < L):
             raise DomainError(f"label {lab} out of range for vertex {v}")
         mask[v << L: (v + 1) << L] = (xs >> lab) & 1
-    _ = nu(q, rho)  # parameter validation
     return mask, graph.subset_weight(mask), graph.cut_weight(mask)
 
 
@@ -321,8 +320,9 @@ class DensityProfile:
     tol_r: float
 
 
-def _all_subset_stats(graph: WeightedGraph, chunk: int = 1 << 18) -> tuple[np.ndarray, np.ndarray]:
+def _all_subset_stats(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     """(subset weight, internal weight) for every vertex subset bitmask."""
+    chunk = 1 << 18  # subsets per block
     n = graph.n_vertices
     M = np.zeros((n, n))
     for a, b, w in zip(graph.edge_a, graph.edge_b, graph.edge_w):
@@ -509,9 +509,9 @@ def random_ug(
     n_labels: int,
     degree: int,
     seed: int = 0,
-    satisfiable: bool = True,
-) -> tuple[UGInstance, Labeling | None]:
-    """Seeded biregular instance; optionally consistent with a hidden labeling."""
+) -> tuple[UGInstance, Labeling]:
+    """Seeded biregular instance, always returned with a hidden labeling that
+    satisfies every edge."""
     if (n_left * degree) % n_right != 0:
         raise DomainError(
             f"cannot be right-regular: {n_left} * {degree} not divisible by {n_right}")
@@ -519,22 +519,19 @@ def random_ug(
     slots = np.repeat(np.arange(n_right), (n_left * degree) // n_right)
     slots = rng.permutation(slots)
 
-    hidden = None
-    if satisfiable:
-        hidden = Labeling(
-            left=tuple(int(x) for x in rng.integers(0, n_labels, n_left)),
-            right=tuple(int(x) for x in rng.integers(0, n_labels, n_right)),
-        )
+    hidden = Labeling(
+        left=tuple(int(x) for x in rng.integers(0, n_labels, n_left)),
+        right=tuple(int(x) for x in rng.integers(0, n_labels, n_right)),
+    )
     edges = []
     for u in range(n_left):
         for d in range(degree):
             v = int(slots[u * degree + d])
             perm = list(rng.permutation(n_labels))
-            if hidden is not None:
-                # force perm[z_u] = z_v by swapping images
-                zu, zv = hidden.left[u], hidden.right[v]
-                pos = perm.index(zv)
-                perm[pos], perm[zu] = perm[zu], zv
+            # force perm[z_u] = z_v by swapping images
+            zu, zv = hidden.left[u], hidden.right[v]
+            pos = perm.index(zv)
+            perm[pos], perm[zu] = perm[zu], zv
             edges.append((u, v, tuple(int(p) for p in perm)))
     return UGInstance(n_left, n_right, n_labels, tuple(edges)), hidden
 

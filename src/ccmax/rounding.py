@@ -52,32 +52,20 @@ def gaussian_vector(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def round_once(sol: SDPSolution, rng: np.random.Generator) -> np.ndarray:
-    """One raw threshold rounding; entries +-1, cardinality unrepaired."""
+    """One raw threshold rounding; entries +-1, cardinality unrepaired.
+
+    Assumes unit rows, as `SDPSolution` documents: ||w_i||^2 = 1 - mu_i^2 > 0
+    on every row not pinned to sign(mu_i) (|mu_i| < 1 - 1e-9)."""
     V = sol.vectors
     n = V.shape[0] - 1
-    dim = V.shape[1]
     v0 = V[0]
     mu = sol.mu
 
-    g = gaussian_vector(rng, dim)
+    g = gaussian_vector(rng, V.shape[1])
     raw = np.empty(n, dtype=np.int64)
 
     W = V[1:] - mu[:, None] * v0[None, :]
     norms = np.linalg.norm(W, axis=1)
-    for i in np.nonzero(norms < 1e-9)[0]:
-        if abs(mu[i]) >= _MU_DETERMINISTIC:
-            continue  # handled by the deterministic branch below
-        # documented perturbation: nudge along a basis direction
-        # orthogonalized against v0, magnitude 1e-9
-        e = np.zeros(dim)
-        e[int(i) % dim] = 1.0
-        t = e - (e @ v0) * v0
-        if np.linalg.norm(t) < 1e-12:
-            e = np.zeros(dim)
-            e[(int(i) + 1) % dim] = 1.0
-            t = e - (e @ v0) * v0
-        W[i] = 1e-9 * t / np.linalg.norm(t)
-        norms[i] = np.linalg.norm(W[i])
 
     deterministic = np.abs(mu) >= _MU_DETERMINISTIC
     raw[deterministic] = np.where(mu[deterministic] > 0, 1, -1)

@@ -24,13 +24,15 @@ so the attained value also dominates that assignment's objective.
 
 `SDPProblem` is the only form of the relaxation: coefficient arrays on
 Gram entries, which `relax` reads off the instance's own arrays, and
-the solver's constant operators, built on first use.  One iteration
-costs one Gram product G = V V^T of the candidate, from which `pieces`
-reads the objective, balance residual and triangle forms by index; one
-np.bincount scatter of the triangle multipliers in `dloss_dgram`; and
-one product M V for the gradient.  The work per step is thus
-O(n^2 dim + #pairs) in a fixed, small number of numpy calls, and the
-solution reports the objective and residuals of its iterate's pieces.
+the solver's constant operators, built on first use.  The solver holds
+three dense (n+1)^2 arrays: `M_obj`, and in `dloss_dgram` the working M
+and the triangle scatter.  One iteration costs one Gram product
+G = V V^T of the candidate, from which `pieces` reads the objective,
+balance residual and triangle forms by index; one np.bincount scatter
+of the triangle multipliers, added into M in place; and one product M V
+for the gradient.  The work per step is thus O(n^2 dim + #pairs) in a
+fixed, small number of numpy calls, and the solution reports the
+objective and residuals of its iterate's pieces.
 """
 
 from __future__ import annotations
@@ -50,10 +52,11 @@ from .instance import CCInstance, as_assignment, greedy_assignment
 # first gradient step of every restart; it grows 5% after each accepted step
 # and halves after each rejected one
 STEP = 0.02
+TOL = 1e-6  # feasibility tolerance on the balance residual and each triangle violation
 
-# Bytes the dense (n+1)^2 float64 arrays may take.  The solver holds five at once
-# (M_obj, B, and in dloss_dgram the balance term, the triangle scatter and their
-# sum), greedy_assignment two.  relax refuses 5 * 8 * (n+1)^2 > 1 GiB: n > 5180.
+# Bytes the dense (n+1)^2 float64 arrays may take.  The solver holds three at once
+# (M_obj, and in dloss_dgram the working M and the triangle scatter), greedy_assignment
+# two.  relax refuses 5 * 8 * (n+1)^2 > 1 GiB: n > 5180.
 MAX_DENSE_BYTES = 1 << 30
 
 # the four triangle forms as sign rows on (mu_i, mu_j, rho_ij)
@@ -79,9 +82,10 @@ class SDPProblem:
     constrained vector pairs (i, j), 1 <= i < j, in order; each carries the
     four triangle inequalities.  Flat indices address the row-major
     (n+1) x (n+1) Gram matrix G = V V^T.  dLoss/dG is the constant
-    objective part `M_obj`, plus the balance pattern `B` scaled by
-    (lam + sigma_bal h), plus the triangle multipliers scattered onto the
-    entries of (mu_i, mu_j, rho_ij) and their transposes.
+    objective part `M_obj`, plus (lam + sigma h) / 2 on row 0 and column 0
+    off the diagonal (the balance term), plus the triangle multipliers
+    scattered onto the entries of (mu_i, mu_j, rho_ij) and their
+    transposes.
     """
 
     n: int
@@ -112,14 +116,6 @@ class SDPProblem:
         return M
 
     @cached_property
-    def B(self) -> np.ndarray | None:
-        if self.balance_target is None:
-            return None
-        B = np.zeros((self.n + 1, self.n + 1))
-        B[0, 1:] = B[1:, 0] = 0.5
-        return B
-
-    @cached_property
     def tri_idx(self) -> np.ndarray:
         """G[0, i], G[0, j], G[i, j] per pair."""
         i, j = self.tri[:, 0], self.tri[:, 1]
@@ -143,18 +139,18 @@ class SDPProblem:
         viol = np.maximum(0.0, -1.0 - g[self.tri_idx] @ _TRI_SIGNS.T)
         return _Pieces(obj, h, float(viol.max()), float((viol * viol).sum()), viol)
 
-    def dloss_dgram(self, lam: float, sigma_bal: float, sigma_tri: float,
-                    cur: _Pieces) -> np.ndarray:
+    def dloss_dgram(self, lam: float, sigma: float, cur: _Pieces) -> np.ndarray:
         """Symmetric M with d(loss)/dV = 2 M V."""
-        M = self.M_obj
-        if self.B is not None:
-            M = M + (lam + sigma_bal * cur.h) * self.B
+        M = self.M_obj.copy()
+        if self.balance_target is not None:
+            M[0, 1:] += (lam + sigma * cur.h) / 2
+            M[1:, 0] = M[0, 1:]  # M_obj is exactly symmetric: both halves add the same terms
         if cur.viol.size:
             # d/dG of 0.5*sigma*sum v^2 = -sigma * v * dform/dG
-            half = 0.5 * ((-sigma_tri * cur.viol) @ _TRI_SIGNS).ravel()
+            half = 0.5 * ((-sigma * cur.viol) @ _TRI_SIGNS).ravel()
             size = self.n + 1
-            M = M + np.bincount(self.scatter_idx, weights=np.concatenate([half, half]),
-                                minlength=size * size).reshape(size, size)
+            M += np.bincount(self.scatter_idx, weights=np.concatenate([half, half]),
+                             minlength=size * size).reshape(size, size)
         return M
 
 
@@ -173,7 +169,6 @@ class SDPSolution:
 class SolveOptions:
     restarts: int = 3
     max_iters: int = 50_000
-    tol: float = 1e-6
     seed: int = 0
 
 
@@ -236,8 +231,8 @@ def _integral_embedding(assignment: np.ndarray, dim: int) -> np.ndarray:
     return V
 
 
-def _perturb_tangential(V: np.ndarray, rng: np.random.Generator, scale: float = 1e-3) -> np.ndarray:
-    noise = scale * rng.standard_normal(V.shape)
+def _perturb_tangential(V: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    noise = 1e-3 * rng.standard_normal(V.shape)
     noise[0] = 0.0
     noise -= np.sum(noise * V, axis=1, keepdims=True) * V
     return _normalize_rows(V + noise)
@@ -257,15 +252,15 @@ def solve(
     streams derive from (seed, restart_index); the result is
     deterministic for fixed options.  Each restart offers the best
     feasible-to-tolerance iterate it met, else its last one.  An offer
-    whose residuals are both within 10 tol counts as feasible and beats
+    whose residuals are both within 10 TOL counts as feasible and beats
     any other; then the higher objective, or among infeasible offers the
     smaller violation, wins, and ties go to the earlier restart.
     """
     opts = opts or SolveOptions()
-    if opts.tol <= 0:
-        raise DomainError(f"tol must be positive, got {opts.tol!r}")
     if opts.restarts < 1:
         raise DomainError("need at least one restart")
+    if opts.max_iters < 0:
+        raise DomainError(f"max_iters must be >= 0, got {opts.max_iters}")
     if integral_seed is not None:
         integral_seed = as_assignment(integral_seed, problem.n)
 
@@ -282,8 +277,7 @@ def solve(
             V = _normalize_rows(rng.standard_normal((n + 1, dim)))
 
         lam = 0.0
-        sigma_bal = 10.0
-        sigma_tri = 10.0
+        sigma = 10.0
         eta = STEP
         prev_loss = math.inf
         stall = 0
@@ -292,11 +286,11 @@ def solve(
         obj_window: deque[float] = deque(maxlen=200)
 
         def loss_of(pc: _Pieces) -> float:
-            return (-pc.obj + lam * pc.h + 0.5 * sigma_bal * pc.h * pc.h
-                    + 0.5 * sigma_tri * pc.viol_sq)
+            return (-pc.obj + lam * pc.h + 0.5 * sigma * pc.h * pc.h
+                    + 0.5 * sigma * pc.viol_sq)
 
         def feasible_to_tol(pc: _Pieces) -> bool:
-            return abs(pc.h) <= opts.tol and pc.viol_max <= opts.tol
+            return abs(pc.h) <= TOL and pc.viol_max <= TOL
 
         snap: tuple[np.ndarray, _Pieces] | None = None  # best feasible-to-tol iterate
 
@@ -311,7 +305,7 @@ def solve(
         cur = problem.pieces(V)
         consider(V, cur)
         for it in range(opts.max_iters):
-            grad = 2.0 * (problem.dloss_dgram(lam, sigma_bal, sigma_tri, cur) @ V)
+            grad = 2.0 * (problem.dloss_dgram(lam, sigma, cur) @ V)
             # project to the tangent of the unit spheres
             grad -= (grad * V).sum(axis=1, keepdims=True) * V
 
@@ -326,15 +320,14 @@ def solve(
                 eta = max(eta * 0.5, 1e-12)
 
             if (it + 1) % 100 == 0:
-                lam += sigma_bal * cur.h
+                lam += sigma * cur.h
                 resid = max(abs(cur.h), cur.viol_max)
-                if resid > opts.tol and resid > 0.9 * last_resid:
+                if resid > TOL and resid > 0.9 * last_resid:
                     stall += 100
                 else:
                     stall = 0
                 if stall >= 200:
-                    sigma_bal = min(sigma_bal * 10, 1e8)
-                    sigma_tri = min(sigma_tri * 10, 1e8)
+                    sigma = min(sigma * 10, 1e8)
                     stall = 0
                 last_resid = resid
 
@@ -350,7 +343,7 @@ def solve(
 
         consider(V, cur)
         V_rep, pc = snap or (V, cur)
-        feasible = max(abs(pc.h), pc.viol_max) <= 10 * opts.tol
+        feasible = max(abs(pc.h), pc.viol_max) <= 10 * TOL
         key = (True, pc.obj) if feasible else (False, -(abs(pc.h) + pc.viol_max))
         if best is None or key > best[0]:
             best = (key, r, V_rep, pc, converged)

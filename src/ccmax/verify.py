@@ -137,7 +137,7 @@ def gadget_deviations(ug: gadget.UGInstance, hidden: gadget.Labeling, q: float, 
         lhs = g.coverage_weight(mask)
         rhs = g.subset_weight(mask) + 0.5 * g.cut_weight(mask)
         eq1 = max(eq1, abs(lhs - rhs))
-    _, w_s, cut = gadget.completeness_set(ug, hidden, g, q, rho)
+    _, w_s, cut = gadget.completeness_set(ug, hidden, g)
     return (abs(g.total_vertex_weight() - 1.0), abs(g.total_edge_weight() - 1.0),
             float(np.max(np.abs(g.vertex_weights - g.incident_weights() / 2.0))),
             eq1, abs(w_s - q), abs(cut - 2 * q * (1 - q) * (1 - rho)))

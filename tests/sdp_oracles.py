@@ -5,7 +5,10 @@ out each payload's coefficients again, and returns it as tuples.
 `objective_from_vectors` and `residuals_from_vectors` evaluate an
 `SDPProblem` at given vectors with one row dot product per term and
 `curves.triangle_violation` per pair, apart from the solver's flat
-Gram indices.
+Gram indices.  `dloss_dgram_oracle` is the two-penalty assembly
+M_obj + (lam + sigma_bal h) B + scatter(sigma_tri), with the dense
+balance pattern B (0.5 on row 0 and column 0 off the diagonal) built
+out in full.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ import numpy as np
 
 from ccmax.curves import triangle_violation
 from ccmax.instance import CCInstance, Xor
-from ccmax.sdp import SDPProblem
+from ccmax.sdp import SDPProblem, _Pieces
+
+_TRI_SIGNS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
 
 
 class TupleProblem(NamedTuple):
@@ -96,3 +101,18 @@ def residuals_from_vectors(problem: SDPProblem, vectors: np.ndarray) -> dict[str
         "triangle_max_violation": tri,
         "unit_norm_max_deviation": float(np.max(np.abs(norms - 1.0))),
     }
+
+
+def dloss_dgram_oracle(problem: SDPProblem, lam: float, sigma_bal: float, sigma_tri: float,
+                       cur: _Pieces) -> np.ndarray:
+    M = problem.M_obj
+    if problem.balance_target is not None:
+        B = np.zeros((problem.n + 1, problem.n + 1))
+        B[0, 1:] = B[1:, 0] = 0.5
+        M = M + (lam + sigma_bal * cur.h) * B
+    if cur.viol.size:
+        half = 0.5 * ((-sigma_tri * cur.viol) @ _TRI_SIGNS).ravel()
+        size = problem.n + 1
+        M = M + np.bincount(problem.scatter_idx, weights=np.concatenate([half, half]),
+                            minlength=size * size).reshape(size, size)
+    return M

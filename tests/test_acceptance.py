@@ -89,7 +89,7 @@ def run_gadget_suite() -> tuple[dict, str]:
         for q, rho in verify.GADGET_PARAMS:
             g = gadget.build_gadget(ug, q, rho)
             assert g.n_vertices <= 20
-            mask, w_s, _ = gadget.completeness_set(ug, hidden, g, q, rho)
+            mask, w_s, _ = gadget.completeness_set(ug, hidden, g)
             t = (q - q * q) * (1 - rho)
             dict_internal = g.internal_weight(mask)
             threshold = gamma_rho(rho, q, q)

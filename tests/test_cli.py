@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ccmax import __version__
-from ccmax.cli import main
+from ccmax.cli import MAX_CURVE_POINTS, main
 from ccmax.curves import extremal_rho
 from ccmax.gadget import format_ug, random_ug
 from ccmax.gaussian import gamma_rho
@@ -91,6 +91,35 @@ class TestCurves:
                      "--q-min", "0.3", "--q-max", "0.4", "--step", "-1",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--step", "nan"), ("--step", "inf"), ("--step", "0"),
+        ("--q-min", "nan"), ("--q-min", "-inf"), ("--q-max", "inf"), ("--q-max", "nan"),
+    ])
+    def test_rejects_non_finite_grid(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = {"--q-min": "0.3", "--q-max": "0.4", "--step": "0.05", flag: value}
+        assert main(["curves", "--problem", "cut", "--kind", "alpha",
+                     *[f"{k}={v}" for k, v in argv.items()], "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --")
+        assert not out.exists()
+
+    def test_rejects_step_too_small_to_move_q(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["curves", "--problem", "cut", "--kind", "alpha", "--q-min", "0.3",
+                     "--q-max", "0.5", "--step", "1e-300", "--out", str(out)]) == 2
+        assert "too small to move q" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_refuses_grid_over_point_guard(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr("ccmax.curves.approx_curve", lambda *a, **k: built.append(a))
+        out = tmp_path / "x.csv"
+        step = 0.4 / MAX_CURVE_POINTS  # about twice the guard
+        assert main(["curves", "--problem", "cut", "--kind", "alpha", "--q-min", "0.1",
+                     "--q-max", "0.9", "--step", repr(step), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("refused: curve grid refused: ")
+        assert not built and not out.exists()
+
 
 class TestBrute:
     def test_output(self, cycle_file, capsys):
@@ -155,6 +184,15 @@ class TestSolvePipeline:
                 "realized_ratio"} <= keys
         assert main(argv) == 0
         assert report.read_bytes() == text1  # byte-identical rerun
+
+    def test_negative_max_iters_exit_2(self, cycle_file, capsys):
+        assert main(["sdp", "--input", str(cycle_file), "--max-iters", "-5"]) == 2
+        assert capsys.readouterr().err.startswith("error: max_iters must be >= 0")
+
+    def test_tol_is_not_an_option(self, cycle_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["sdp", "--input", str(cycle_file), "--tol", "1e-6"])
+        assert exc.value.code == 2
 
 
 class TestGadgetPipeline:

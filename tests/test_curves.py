@@ -37,7 +37,7 @@ class TestKappa:
     def test_quarter(self):
         iv = kappa(0.25)
         assert iv.lo == pytest.approx(-1.0 / 3.0, abs=1e-15)
-        assert iv.lo_closed and iv.hi_open == 0.0
+        assert iv.lo_closed and str(iv) == "[-0.333333333333, 0)"
 
     def test_half(self):
         iv = kappa(0.5)
@@ -131,7 +131,7 @@ class TestMinimizeOverRho:
     def test_analytic_parabola(self):
         # kappa(4/9) = [-0.8, 0); shifted parabola has its minimum inside
         q = 4.0 / 9.0
-        rho_star, value = minimize_over_rho(lambda r: (r + 0.45) ** 2 + 0.3, q, tol=1e-8)
+        rho_star, value = minimize_over_rho(lambda r: (r + 0.45) ** 2 + 0.3, q)
         assert rho_star == pytest.approx(-0.45, abs=1e-6)
         assert value == pytest.approx(0.3, abs=1e-10)
 
@@ -151,10 +151,6 @@ class TestMinimizeOverRho:
         rho_star, value = minimize_over_rho(lambda r: beta_cut(q, r), q)
         assert rho_star == pytest.approx(kappa(q).lo, abs=1e-3)
         assert value == pytest.approx(0.858297, abs=1e-3)
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(DomainError):
-            minimize_over_rho(lambda r: r, 0.3, tol=0.0)
 
 
 class TestAlphaCurves:

@@ -327,7 +327,7 @@ class TestBuildGadgetOracle:
         right = tuple(data.draw(st.integers(0, ug.n_labels - 1)) for _ in range(ug.n_right))
         z = Labeling(left=(0,) * ug.n_left, right=right)
         g = build_gadget(ug, 0.4, -0.3)
-        mask, _, _ = completeness_set(ug, z, g, 0.4, -0.3)
+        mask, _, _ = completeness_set(ug, z, g)
         L = ug.n_labels
         want = np.array([bool((x >> right[v]) & 1) for v in range(ug.n_right)
                          for x in range(1 << L)])
@@ -355,7 +355,7 @@ class TestCompleteness:
             assert ug_value(ug, hidden) == 1.0
             for q, rho in [(0.365, -0.5), (0.5, 0.0)]:
                 g = build_gadget(ug, q, rho)
-                _, w_s, cut = completeness_set(ug, hidden, g, q, rho)
+                _, w_s, cut = completeness_set(ug, hidden, g)
                 t = (q - q * q) * (1 - rho)
                 assert w_s == pytest.approx(q, abs=1e-12)
                 assert cut == pytest.approx(2 * t, abs=1e-12)
@@ -365,7 +365,7 @@ class TestCompleteness:
         q = 0.365
         rho = -q / (1 - q)
         g = build_gadget(ug, q, rho)
-        _, w_s, cut = completeness_set(ug, hidden, g, q, rho)
+        _, w_s, cut = completeness_set(ug, hidden, g)
         assert cut == pytest.approx(2 * q, abs=1e-12)
 
     def test_violated_labeling_respects_bound(self):
@@ -378,7 +378,7 @@ class TestCompleteness:
             gamma = 1.0 - ug_value(ug, z)
             q, rho = 0.4, -0.35
             g = build_gadget(ug, q, rho)
-            _, w_s, cut = completeness_set(ug, z, g, q, rho)
+            _, w_s, cut = completeness_set(ug, z, g)
             t = (q - q * q) * (1 - rho)
             assert w_s == pytest.approx(q, abs=1e-12)
             assert cut >= 2 * t * (1 - gamma) ** 2 - 1e-12
@@ -387,7 +387,7 @@ class TestCompleteness:
         ug, hidden = random_ug(2, 2, 2, 1, seed=0)
         g = build_gadget(ug, 0.4, -0.3)
         with pytest.raises(DomainError):
-            completeness_set(ug, Labeling(left=hidden.left, right=(0,)), g, 0.4, -0.3)
+            completeness_set(ug, Labeling(left=hidden.left, right=(0,)), g)
 
 
 class TestDensityProfile:
@@ -402,7 +402,7 @@ class TestDensityProfile:
         q, rho = 0.5, -0.5
         g = build_gadget(ug, q, rho)
         assert g.n_vertices == 16
-        mask, w_s, _ = completeness_set(ug, hidden, g, q, rho)
+        mask, w_s, _ = completeness_set(ug, hidden, g)
         t = (q - q * q) * (1 - rho)
         internal = g.internal_weight(mask)
         threshold = gamma_rho(rho, q, q)
@@ -507,7 +507,7 @@ class TestDeriveInstance:
         q = 0.5
         g = build_gadget(SINGLE_EDGE_UG, q, 0.0)
         z = Labeling(left=(0,), right=(0,))
-        mask, w_s, cut = completeness_set(SINGLE_EDGE_UG, z, g, q, 0.0)
+        mask, w_s, cut = completeness_set(SINGLE_EDGE_UG, z, g)
         inst = derive_cc_instance(g, "cut", q, k=int(np.sum(mask)))
         assert inst.n == 2 and inst.k == 1
         a, opt = brute_force_opt(inst)
@@ -518,7 +518,7 @@ class TestDeriveInstance:
         ug, hidden = random_ug(2, 2, 2, 1, seed=8)
         q, rho = 0.4, -0.3
         g = build_gadget(ug, q, rho)
-        mask, w_s, cut = completeness_set(ug, hidden, g, q, rho)
+        mask, w_s, cut = completeness_set(ug, hidden, g)
         inst = derive_cc_instance(g, "kvc", q, k=int(np.sum(mask)))
         val = evaluate(inst, np.where(mask, 1, -1))
         assert val == pytest.approx(w_s + 0.5 * cut, abs=1e-12)
@@ -528,7 +528,7 @@ class TestDeriveInstance:
         ug, hidden = random_ug(1, 1, 3, 1, seed=9)
         q, rho = 0.365, -0.5
         g = build_gadget(ug, q, rho)
-        mask, _, cut = completeness_set(ug, hidden, g, q, rho)
+        mask, _, cut = completeness_set(ug, hidden, g)
         inst = derive_cc_instance(g, "cut", q, k=int(np.sum(mask)))
         _, opt = brute_force_opt(inst)
         assert opt >= cut - 1e-12

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from rounding_oracles import round_once_oracle
 from sdp_oracles import objective_from_vectors, residuals_from_vectors
 
 from ccmax.errors import DomainError
@@ -22,6 +23,7 @@ from ccmax.instance import (
     random_instance,
 )
 from ccmax.rounding import (
+    _MU_DETERMINISTIC,
     _REPAIR_EXACT_BUDGET,
     RoundingReport,
     expected_pair_product,
@@ -44,6 +46,28 @@ def integral_solution(inst: CCInstance, a: np.ndarray, dim: int = 3) -> SDPSolut
         vectors=V, mu=V[1:] @ V[0], rho={},
         objective_value=objective_from_vectors(p, V),
         residuals=residuals_from_vectors(p, V), converged=True, restart_index=0)
+
+
+def unit_row_solution(mus: list[float], dim: int, rng: np.random.Generator) -> SDPSolution:
+    """Unit rows v_i = mu_i v_0 + sqrt(1 - mu_i^2) u_i, u_i a random unit vector
+    orthogonal to v_0; mu is read back from the normalized rows, as `sdp.solve` does."""
+    v0 = rng.standard_normal(dim)
+    v0 /= np.linalg.norm(v0)
+    U = rng.standard_normal((len(mus), dim))
+    U -= np.outer(U @ v0, v0)
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    m = np.array(mus)[:, None]
+    V = np.vstack([v0, m * v0 + np.sqrt(1.0 - m * m) * U])
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    return SDPSolution(vectors=V, mu=V[1:] @ V[0], rho={}, objective_value=0.0,
+                       residuals={}, converged=True, restart_index=0)
+
+
+# pinned rows, and |mu| just above and just below the pinning level 1 - 1e-9
+EDGE_MUS = [1.0, -1.0, _MU_DETERMINISTIC, -_MU_DETERMINISTIC,
+            _MU_DETERMINISTIC + 1e-12, _MU_DETERMINISTIC - 1e-12,
+            -_MU_DETERMINISTIC - 1e-12, -_MU_DETERMINISTIC + 1e-12,
+            float(np.nextafter(_MU_DETERMINISTIC, 0.0)), 1.0 - 1e-16, 0.0]
 
 
 def cycle(n: int, k: int) -> CCInstance:
@@ -166,6 +190,18 @@ class TestRoundOnce:
         for m, e in zip(mus, emp):
             se = math.sqrt((1 - m * m) / draws)
             assert abs(e - m) <= 4 * se + 1e-12
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.integers(2, 8), st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from(EDGE_MUS)),
+                                       min_size=1, max_size=12),
+           st.integers(0, 2**32 - 1))
+    @example(2, [1.0, -1.0, _MU_DETERMINISTIC - 1e-12, 1.0 - 1e-16], 0)
+    def test_matches_perturbing_oracle_bit_for_bit(self, dim, mus, seed):
+        # on unit rows the parent's zero-direction perturbation never fires
+        sol = unit_row_solution(mus, dim, np.random.default_rng(seed))
+        for t in range(5):
+            assert np.array_equal(round_once(sol, stream(seed, t)),
+                                  round_once_oracle(sol, stream(seed, t)))
 
 
 class TestExpectedPairProduct:

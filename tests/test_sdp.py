@@ -7,7 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from sdp_oracles import objective_from_vectors, relax_oracle, residuals_from_vectors
+from sdp_oracles import (
+    dloss_dgram_oracle,
+    objective_from_vectors,
+    relax_oracle,
+    residuals_from_vectors,
+)
 
 from ccmax.curves import triangle_violation
 from ccmax.errors import DomainError, SizeGuardError
@@ -248,12 +253,12 @@ class TestSolve:
     def test_option_validation(self):
         p = relax(cycle(4, 2))
         with pytest.raises(DomainError):
-            solve(p, SolveOptions(tol=0.0))
+            solve(p, SolveOptions(max_iters=-5))
         with pytest.raises(DomainError):
             solve(p, SolveOptions(restarts=0))
 
 
-def dense_dloss_dgram(problem, V, lam, sigma_bal, sigma_tri):
+def dense_dloss_dgram(problem, V, lam, sigma):
     """Reference: d(loss)/dGram assembled term by term with np.add.at.
 
     Returns (M, h, viol) from row dot products of V, independently of the
@@ -272,9 +277,9 @@ def dense_dloss_dgram(problem, V, lam, sigma_bal, sigma_tri):
     np.add.at(M, (obj_p, obj_q), -obj_c / 2)
     np.add.at(M, (obj_q, obj_p), -obj_c / 2)
     if problem.balance_target is not None:
-        M[0, 1:] += (lam + sigma_bal * h) / 2
-        M[1:, 0] += (lam + sigma_bal * h) / 2
-    w4 = -sigma_tri * viol
+        M[0, 1:] += (lam + sigma * h) / 2
+        M[1:, 0] += (lam + sigma * h) / 2
+    w4 = -sigma * viol
     zero = np.zeros_like(tri[:, 0])
     for col, cidx in ((0, tri[:, 0]), (1, tri[:, 1])):
         np.add.at(M, (zero, cidx), w4 @ signs[:, col] / 2)
@@ -282,6 +287,15 @@ def dense_dloss_dgram(problem, V, lam, sigma_bal, sigma_tri):
     np.add.at(M, (tri[:, 0], tri[:, 1]), w4 @ signs[:, 2] / 2)
     np.add.at(M, (tri[:, 1], tri[:, 0]), w4 @ signs[:, 2] / 2)
     return M, h, viol
+
+
+def near_planar(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit rows near one plane: spread-out triples violate triangles."""
+    V = 0.1 * rng.standard_normal((n + 1, dim))
+    theta = rng.uniform(0.0, 2 * np.pi, n + 1)
+    V[:, 0] += np.cos(theta)
+    V[:, 1] += np.sin(theta)
+    return V / np.linalg.norm(V, axis=1, keepdims=True)
 
 
 class TestOperators:
@@ -292,24 +306,35 @@ class TestOperators:
             p = relax(random_instance(13, 5, 40, problem=problem, seed=seed))
             if not balanced:
                 p = replace(p, balance_target=None)
-            # near-planar unit vectors: spread-out triples violate triangles
-            rng = np.random.default_rng(seed)
-            V = 0.1 * rng.standard_normal((p.n + 1, p.dim))
-            theta = rng.uniform(0.0, 2 * np.pi, p.n + 1)
-            V[:, 0] += np.cos(theta)
-            V[:, 1] += np.sin(theta)
-            V /= np.linalg.norm(V, axis=1, keepdims=True)
+            V = near_planar(p.n, p.dim, np.random.default_rng(seed))
             cur = p.pieces(V)
-            M_ref, h_ref, viol_ref = dense_dloss_dgram(p, V, 0.7, 30.0, 100.0)
+            M_ref, h_ref, viol_ref = dense_dloss_dgram(p, V, 0.7, 30.0)
             assert viol_ref.max() > 0.05  # triangle penalties are active
             assert cur.obj == pytest.approx(objective_from_vectors(p, V), abs=1e-12)
             assert cur.h == pytest.approx(h_ref, abs=1e-12)
             assert cur.viol_max == pytest.approx(viol_ref.max(), abs=1e-12)
             assert cur.viol_sq == pytest.approx(np.sum(viol_ref ** 2), abs=1e-12)
             np.testing.assert_allclose(cur.viol, viol_ref, rtol=0, atol=1e-12)
-            M = p.dloss_dgram(0.7, 30.0, 100.0, cur)
+            M = p.dloss_dgram(0.7, 30.0, cur)
             np.testing.assert_allclose(M, M_ref, rtol=0, atol=1e-12)
             np.testing.assert_allclose(2.0 * (M @ V), 2.0 * (M_ref @ V), rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.sampled_from(["cut", "2sat", "2lin", "kvc"]), st.integers(2, 12),
+           st.integers(0, 30), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
+           st.floats(-1e4, 1e4), st.sampled_from([10.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8]))
+    def test_matches_two_sigma_oracle_bit_for_bit(self, problem, n, m, seed, balanced,
+                                                  planar, lam, sigma):
+        # the solver always passes one sigma for both penalties
+        p = relax(random_instance(n, seed % (n + 1), m, problem=problem, seed=seed))
+        if not balanced:
+            p = replace(p, balance_target=None)
+        rng = np.random.default_rng(seed)
+        V = near_planar(p.n, p.dim, rng) if planar else rng.standard_normal((p.n + 1, p.dim))
+        cur = p.pieces(V / np.linalg.norm(V, axis=1, keepdims=True))
+        M = p.dloss_dgram(lam, sigma, cur)
+        assert np.array_equal(M, dloss_dgram_oracle(p, lam, sigma, sigma, cur))
+        assert not np.shares_memory(M, p.M_obj)
 
 
 class TestDomainEdges:
