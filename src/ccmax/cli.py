@@ -72,6 +72,8 @@ def _cmd_gamma(args) -> int:
 def _cmd_curves(args) -> int:
     if not (all(map(math.isfinite, (args.q_min, args.q_max, args.step))) and args.step > 0):
         raise DomainError("--q-min, --q-max and --step must be finite, and --step positive")
+    if args.q_min > args.q_max + 1e-12:  # the grid loop's own slack
+        raise DomainError(f"--q-min {args.q_min!r} is above --q-max {args.q_max!r}")
     # a step of at least the float spacing at the largest |q| moves every q of the loop
     if args.step < math.ulp(max(abs(args.q_min), abs(args.q_max + 1e-12))):
         raise DomainError(f"--step {args.step!r} is too small to move q")
@@ -171,6 +173,8 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    if not math.isfinite(args.eps):
+        raise DomainError(f"--eps must be finite, got {args.eps!r}")
     graph = gadget.parse_graph(Path(args.graph).read_text(encoding="utf-8"))
     mode = "exact" if args.mode == "exact" else "local_search"
     profile = gadget.density_profile(graph, args.r, mode=mode, seed=args.seed)

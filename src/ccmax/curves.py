@@ -17,9 +17,20 @@ collapse to 2q, which yields the closed approximation-ratio forms
 so alpha_cut(q) == beta_cut(q, -q/(1-q)) and alpha_2sat(q) ==
 beta_vc(q, -q/(1-q)) hold as identities; tests pin them to 1e-10.
 
-Each beta formula is written once and takes a float or an array of
-rhos.  `minimize_over_rho` takes one such callable: it calls it once on
-the whole dense rho scan and on floats during golden section.
+Each beta and alpha formula is written once and takes a float or an
+array; the alpha formulas evaluate up to _LANE_BLOCK grid points per
+call.
+
+The package's one golden-section loop, `_golden_lanes`, runs on lanes:
+arrays of brackets, one per independent search.  Each step makes one
+call to the objective over the lanes still open, and each lane repeats
+the scalar loop's float arithmetic and stops on its own tolerance, so a
+lane returns what the scalar loop would, bit for bit.  This rests on one
+property, pinned by tests: element j of a batched formula call equals
+the one-element call.  `minimize_over_rho` scans each q's rho interval
+once and refines the best brackets of every q of a curve as lanes;
+`full_conf_alpha_cut` runs its line searches and its coordinate-descent
+starts as lanes; `find_local_min_q` is one lane.
 
 `full_conf_alpha_cut` solves the underlying three-variable problem: the
 minimum over all configurations (mu1, mu2, rho) satisfying the four
@@ -47,13 +58,15 @@ grid range.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .gaussian import gamma_rho, gamma_rho_vec
+# gamma_rho stays in this namespace: perfbench's probe test wraps it here
+from .gaussian import gamma_rho, gamma_rho_vec  # noqa: F401
 
 # Approximation/hardness level of unconstrained Max-2-Sat (the
 # Lewin-Livnat-Zwick ratio, ~0.9401, with a matching conditional lower
@@ -67,6 +80,11 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Points in the dense rho scan that seeds each minimization.
 _SCAN_POINTS = 512
 _RHO_TOL = 1e-8  # bracket width at which the golden section over rho stops
+# Most q's that share one formula call: the lanes `minimize_over_rho`
+# refines together, and the grid points `approx_curve` evaluates at once.
+# A lane takes at most two points per call, so no call holds more points
+# than one q's scan, however long the grid.
+_LANE_BLOCK = _SCAN_POINTS // 2
 
 Problem = Literal["cut", "vc", "2sat"]
 
@@ -128,61 +146,86 @@ def beta_vc(q: float, rho):
     return _beta_vc(q, rho)
 
 
-def minimize_over_rho(f: Callable, q: float) -> tuple[float, float]:
-    """Minimize a curve function over rho in kappa(q).
+def minimize_over_rho(f: Callable, qs: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize a curve function over rho in kappa(q) for every q of qs.
 
-    f takes a float or an array of rhos.  It is called once on a dense
-    scan of _SCAN_POINTS points, then on floats by golden-section
-    refinement of the best bracket down to width _RHO_TOL; the scan
-    hedges against non-unimodality.  The open right endpoint rho -> 0-
-    has the analytic limit value 1 and is never a minimizer; the left
-    endpoint is evaluated exactly when closed.  Returns (rho_star, value).
+    f(q, rho) takes a float q with an array of rhos, or two arrays.  Each
+    q gets one call on a dense scan of _SCAN_POINTS points, which hedges
+    against non-unimodality.  The best brackets of up to _LANE_BLOCK q's
+    are then refined together by golden section down to width _RHO_TOL,
+    one call per step.  The open right endpoint rho -> 0- has the
+    analytic limit value 1 and is never a minimizer; the left endpoint is
+    evaluated exactly when closed.  Of the refined point, the scan's best
+    and that endpoint, the first least value wins.  Returns the arrays
+    (rho_star, value), aligned with qs.
     """
-    iv = kappa(q)
-    span = -iv.lo
-    start = iv.lo if iv.lo_closed else iv.lo + span / _SCAN_POINTS
-    grid = np.linspace(start, -1e-9, _SCAN_POINTS)
-    vals = f(grid)
-    i = int(np.argmin(vals))
-
-    m, fm = find_local_min_q(
-        f, float(grid[max(0, i - 1)]), float(grid[min(_SCAN_POINTS - 1, i + 1)]), _RHO_TOL)
-    candidates = [(float(fm), m), (float(vals[i]), float(grid[i]))]
-    if iv.lo_closed:
-        candidates.append((float(f(iv.lo)), iv.lo))
-    value, rho_star = min(candidates, key=lambda t: t[0])
+    qs = np.array(qs, dtype=float, ndmin=1)
+    rho_star, value = np.empty(qs.size), np.empty(qs.size)
+    for s in range(0, qs.size, _LANE_BLOCK):
+        block = qs[s:s + _LANE_BLOCK]
+        a, b, scan_rho, scan_val, lo = (np.empty(block.size) for _ in range(5))
+        closed = np.empty(block.size, dtype=bool)
+        for j, q in enumerate(block.tolist()):
+            iv = kappa(q)
+            span = -iv.lo
+            start = iv.lo if iv.lo_closed else iv.lo + span / _SCAN_POINTS
+            grid = np.linspace(start, -1e-9, _SCAN_POINTS)
+            vals = f(q, grid)
+            i = int(np.argmin(vals))
+            a[j], b[j] = grid[max(0, i - 1)], grid[min(_SCAN_POINTS - 1, i + 1)]
+            scan_rho[j], scan_val[j] = grid[i], vals[i]
+            lo[j], closed[j] = iv.lo, iv.lo_closed
+        rho, val = _golden_lanes(lambda k, r: f(block[k], r), a, b, _RHO_TOL)
+        take = scan_val < val
+        rho[take], val[take] = scan_rho[take], scan_val[take]
+        ends = np.flatnonzero(closed)
+        if ends.size:
+            end_val = f(block[ends], lo[ends])
+            take = end_val < val[ends]
+            rho[ends[take]], val[ends[take]] = lo[ends[take]], end_val[take]
+        rho_star[s:s + block.size], value[s:s + block.size] = rho, val
     return rho_star, value
 
 
-def _hardness_point(problem: Problem, q: float) -> tuple[float, float]:
-    """(rho_star, value) of the pointwise infimum for one q.
+def _beta(problem: Problem) -> Callable:
+    """The unvalidated formula of a hardness curve: every point that
+    `minimize_over_rho` evaluates lies inside kappa(q)."""
+    return _beta_cut if problem == "cut" else _beta_vc
 
-    Calls the unvalidated formula: the scan grid and every golden-section
-    point lie inside kappa(q).
-    """
-    beta = _beta_cut if problem == "cut" else _beta_vc
-    return minimize_over_rho(lambda r: beta(q, r), q)
+
+def _extremal(q):
+    """(min(q, 1-q), the left end of kappa(q)) for a float or an array."""
+    qq = np.minimum(q, 1.0 - q)
+    return qq, -qq / (1.0 - qq)
 
 
 def extremal_rho(q: float) -> float:
     """Left endpoint of kappa(q): -q/(1-q) for q <= 1/2, and -(1-q)/q above,
     where 1 - (1 - q) is q exactly."""
     _check_q(q)
-    return -min(q, 1.0 - q) / (1.0 - min(q, 1.0 - q))
+    return float(_extremal(q)[1])
+
+
+def _alpha_cut(q):
+    qq, rb = _extremal(q)
+    return (2.0 * qq - 2.0 * gamma_rho_vec(rb, qq, qq)) / (2.0 * qq)
+
+
+def _alpha_2sat(q):
+    qq, rb = _extremal(q)
+    return (1.0 - gamma_rho_vec(rb, 1.0 - qq, 1.0 - qq)) / (2.0 * qq)
 
 
 def alpha_cut(q: float) -> float:
     """Cut approximation ratio at cardinality q (symmetric in q, 1-q)."""
-    rb = extremal_rho(q)
-    qq = min(q, 1.0 - q)
-    return (2.0 * qq - 2.0 * gamma_rho(rb, qq, qq)) / (2.0 * qq)
+    _check_q(q)
+    return float(_alpha_cut(q))
 
 
 def alpha_2sat(q: float) -> float:
     """2sat/coverage approximation ratio at cardinality q."""
-    rb = extremal_rho(q)
-    qq = min(q, 1.0 - q)
-    return (1.0 - gamma_rho(rb, 1.0 - qq, 1.0 - qq)) / (2.0 * qq)
+    _check_q(q)
+    return float(_alpha_2sat(q))
 
 
 @dataclass(frozen=True)
@@ -249,17 +292,15 @@ def _rho_range(mu1, mu2):
     return -1.0 + abs(mu1 + mu2), 1.0 - abs(mu1 - mu2)
 
 
-def full_conf_alpha_cut(grid_density: int = 40) -> FullConfResult:
-    """Global minimum of the cut rounding ratio over the full polytope.
+def _mu_segment(other, rho):
+    """Feasible segment of one mu given the other and rho, kept off |mu| = 1."""
+    a, b = _rho_range(other, rho)
+    return np.maximum(-0.999999, a), np.minimum(0.999999, b)
 
-    Multi-start grid scan plus coordinate descent (golden section along
-    each coordinate's feasible segment, until a sweep gains less than
-    1e-9), and a line search along the rho-boundary diagonal.  Returns
-    the best configuration found and its value.
-    """
-    if grid_density < 20:
-        raise DomainError(f"grid_density must be >= 20, got {grid_density}")
 
+def _full_conf_starts(grid_density: int) -> list[tuple[float, float, float]]:
+    """The 16 best points of a grid over the polytope, pairwise more than
+    0.15 apart in the max norm: the coordinate-descent starts."""
     mus = np.linspace(-0.98, 0.98, grid_density)
     m1g, m2g = np.meshgrid(mus, mus, indexing="ij")
     lo, hi = _rho_range(m1g, m2g)
@@ -279,47 +320,78 @@ def full_conf_alpha_cut(grid_density: int = 40) -> FullConfResult:
             starts.append(cand)
         if len(starts) >= 16:
             break
+    return starts
 
-    def scalar(m1: float, m2: float, r: float) -> float:
-        return float(_conf_ratio_cut(m1, m2, r))
 
-    minima: list[tuple[float, float, float, float]] = []
-
+def _full_conf_minima(grid_density: int) -> list[tuple[float, float, float, float]]:
+    """(value, mu1, mu2, rho) of the two diagonal line searches, then of
+    the coordinate descent from each start."""
     # The rho-boundary diagonal (mu, mu, -1 + 2|mu|) is where the global
-    # minimum empirically sits; refine along it directly so the
-    # coordinate descent result is corroborated by a 1-D line search.
-    for sign in (1.0, -1.0):
-        mu_d, val_d = find_local_min_q(
-            lambda t: scalar(sign * t, sign * t, -1.0 + 2.0 * t), 1e-6, 0.999, 1e-9)
-        minima.append((val_d, sign * mu_d, sign * mu_d, -1.0 + 2.0 * mu_d))
+    # minimum empirically sits; refine along it directly, one lane per
+    # sign, so the coordinate descent result is corroborated by a 1-D
+    # line search.
+    sign = np.array([1.0, -1.0])
+    mu, val = _golden_lanes(
+        lambda k, t: _conf_ratio_cut(sign[k] * t, sign[k] * t, -1.0 + 2.0 * t),
+        np.full(2, 1e-6), np.full(2, 0.999), 1e-9)
+    minima = list(zip(val.tolist(), (sign * mu).tolist(), (sign * mu).tolist(),
+                      (-1.0 + 2.0 * mu).tolist()))
 
-    for m1, m2, r in starts:
-        val = scalar(m1, m2, r)
-        for _ in range(200):
-            prev = val
-            a1, b1 = _rho_range(m2, r)
-            a1, b1 = max(-0.999999, a1), min(0.999999, b1)
-            if b1 > a1:
-                m1, _ = find_local_min_q(lambda t: scalar(t, m2, r), a1, b1, 1e-9)
-            a2, b2 = _rho_range(m1, r)
-            a2, b2 = max(-0.999999, a2), min(0.999999, b2)
-            if b2 > a2:
-                m2, _ = find_local_min_q(lambda t: scalar(m1, t, r), a2, b2, 1e-9)
-            ar, br = _rho_range(m1, m2)
-            r, val = find_local_min_q(lambda t: scalar(m1, m2, t), ar, br, 1e-9)
-            # the polytope boundary in rho is often the minimizer; keep it reachable
-            for edge in (ar, br):
-                ev = scalar(m1, m2, edge)
-                if ev < val:
-                    r, val = edge, ev
-            if prev - val < 1e-9:
-                break
-        minima.append((val, m1, m2, r))
+    m1, m2, r = zip(*_full_conf_starts(grid_density))
+    return minima + list(zip(*(x.tolist() for x in _descend(_conf_ratio_cut, m1, m2, r))))
 
+
+def _descend(f: Callable, m1, m2, r) -> tuple[np.ndarray, ...]:
+    """Coordinate descent of f(mu1, mu2, rho) over the polytope, one lane
+    per start (m1[k], m2[k], r[k]).
+
+    Each sweep runs golden section along mu1 and mu2, where the clamped
+    segment is nonempty, and along rho, then tries both rho edges.  A lane
+    stops when a sweep gains less than 1e-9, or after 200 sweeps.
+    Returns the arrays (value, mu1, mu2, rho).
+    """
+    m1, m2, r = (np.array(x, dtype=float) for x in (m1, m2, r))
+    val = f(m1, m2, r)
+    live = np.arange(m1.size)
+    for _ in range(200):
+        if not live.size:
+            break
+        prev = val[live]
+        a, b = _mu_segment(m2[live], r[live])
+        ok = b > a
+        on = live[ok]
+        m1[on] = _golden_lanes(lambda k, t: f(t, m2[on[k]], r[on[k]]), a[ok], b[ok], 1e-9)[0]
+        a, b = _mu_segment(m1[live], r[live])
+        ok = b > a
+        on = live[ok]
+        m2[on] = _golden_lanes(lambda k, t: f(m1[on[k]], t, r[on[k]]), a[ok], b[ok], 1e-9)[0]
+        ar, br = _rho_range(m1[live], m2[live])
+        rl, vl = _golden_lanes(lambda k, t: f(m1[live[k]], m2[live[k]], t), ar, br, 1e-9)
+        # the polytope boundary in rho is often the minimizer; keep it reachable
+        for edge in (ar, br):
+            ev = f(m1[live], m2[live], edge)
+            take = ev < vl
+            rl[take], vl[take] = edge[take], ev[take]
+        r[live], val[live] = rl, vl
+        live = live[~(prev - vl < 1e-9)]
+    return val, m1, m2, r
+
+
+def full_conf_alpha_cut(grid_density: int = 40) -> FullConfResult:
+    """Global minimum of the cut rounding ratio over the full polytope.
+
+    Multi-start grid scan plus coordinate descent (golden section along
+    each coordinate's feasible segment, until a sweep gains less than
+    1e-9), and a line search along the rho-boundary diagonal; the starts
+    and the two diagonal signs run as lanes.  Returns the best
+    configuration found and its value.
+    """
+    if grid_density < 20:
+        raise DomainError(f"grid_density must be >= 20, got {grid_density}")
     # the ratio is invariant under (mu1, mu2) -> (-mu1, -mu2); report the
     # nonnegative-sum representative of each minimum
     minima = [(v, m1, m2, r) if m1 + m2 >= 0 else (v, -m1, -m2, r)
-              for v, m1, m2, r in minima]
+              for v, m1, m2, r in _full_conf_minima(grid_density)]
     v0, m1, m2, r0 = min(minima)
     cfg = Configuration(m1, m2, float(np.clip(r0, *_rho_range(m1, m2))))
     return FullConfResult(configuration=cfg, value=v0)
@@ -344,28 +416,43 @@ def _validate_grid(q_grid: Sequence[float]) -> list[float]:
     return qs
 
 
+def _with_mirrors(qs: list[float]) -> tuple[list[float], list[int]]:
+    """The grid followed by each mirror 1 - q not within 1e-12 of a point
+    already listed, and for each q the index of the first listed point
+    within 1e-12 of its mirror.
+
+    fl(p - m) is monotone in p, so the grid points within 1e-12 of m form
+    one run of the increasing grid, and a bisection finds its first, in
+    O(log n).  Mirrors are appended in decreasing order, each more than
+    1e-12 below the one before, so of those only the last can lie within
+    1e-12 of a later (smaller) m.
+    """
+    added: list[float] = []
+    mirror: list[int] = []
+    for q in qs:
+        m = 1.0 - q
+        j = bisect_left(qs, -1e-12, key=lambda p: p - m)
+        if not (j < len(qs) and abs(qs[j] - m) <= 1e-12):
+            if not (added and abs(added[-1] - m) <= 1e-12):
+                added.append(m)
+            j = len(qs) + len(added) - 1
+        mirror.append(j)
+    return qs + added, mirror
+
+
 def hardness_curve(problem: Problem, q_grid: Sequence[float], flatten: bool = False) -> list[CurvePoint]:
     """Hardness ratio curve, optionally flattened by the padding rules.
 
-    Each distinct q is evaluated once.  The points are the grid, then,
-    for flattened 2sat, each mirror 1 - q not within 1e-12 of a point
-    already listed, so min(curve(q), curve(1-q)) reads both sides from
-    the same evaluations.
+    Each distinct q is evaluated once, by one `minimize_over_rho` call.
+    The points are the grid, then, for flattened 2sat, each mirror 1 - q
+    not within 1e-12 of a point already listed, so
+    min(curve(q), curve(1-q)) reads both sides from the same evaluations.
     """
     if problem not in ("cut", "vc", "2sat"):
         raise DomainError(f"unknown problem {problem!r}")
     qs = _validate_grid(q_grid)
-    points = list(qs)
-    mirror: list[int] = []
-    if flatten and problem == "2sat":
-        for q in qs:
-            m = 1.0 - q
-            j = next((j for j, p in enumerate(points) if abs(p - m) <= 1e-12), len(points))
-            if j == len(points):
-                points.append(m)
-            mirror.append(j)
-    rhos, vals = np.array([_hardness_point("cut" if problem == "cut" else "vc", p)
-                           for p in points]).T
+    points, mirror = _with_mirrors(qs) if flatten and problem == "2sat" else (qs, [])
+    rhos, vals = minimize_over_rho(_beta(problem), points)
     n = len(qs)
     raw = vals[:n]
     flat = raw
@@ -390,16 +477,19 @@ def hardness_curve(problem: Problem, q_grid: Sequence[float], flatten: bool = Fa
 def approx_curve(problem: Problem, q_grid: Sequence[float], flatten: bool = False) -> list[CurvePoint]:
     """Approximation ratio curve (alpha_cut for cut, alpha_2sat otherwise).
 
-    With flatten=True, emits the constant guarantee min over the grid
-    (padding transfers the worst case everywhere), mirroring how the
+    Each block of _LANE_BLOCK grid points is one formula call.  With
+    flatten=True, emits the constant guarantee min over the grid (padding
+    transfers the worst case everywhere), mirroring how the
     algorithm-side lines are usually drawn.
     """
     if problem not in ("cut", "vc", "2sat"):
         raise DomainError(f"unknown problem {problem!r}")
     qs = _validate_grid(q_grid)
-    fn = alpha_cut if problem == "cut" else alpha_2sat
-    vals = [fn(q) for q in qs]
-    rbs = [extremal_rho(q) for q in qs]
+    alpha = _alpha_cut if problem == "cut" else _alpha_2sat
+    at = np.array(qs)
+    vals = np.concatenate([alpha(at[s:s + _LANE_BLOCK])
+                           for s in range(0, at.size, _LANE_BLOCK)]).tolist()
+    rbs = _extremal(at)[1].tolist()
     if not flatten:
         return [CurvePoint(q, v, rb, False) for q, v, rb in zip(qs, vals, rbs)]
     floor = min(vals)
@@ -409,34 +499,57 @@ def approx_curve(problem: Problem, q_grid: Sequence[float], flatten: bool = Fals
     ]
 
 
+def _golden_lanes(f: Callable, a, b, tol) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section argmin on lanes: one bracket [a[k], b[k]] per search.
+
+    f(k, x) evaluates lane k[i] at x[i] for an index array k and returns
+    an array.  The first call takes every lane's two interior points, and
+    each further step makes one call over the lanes still open.  Each
+    lane repeats the scalar loop's arithmetic and stops once its bracket
+    is no wider than its tol (a float or one per lane).  The caller
+    bounds the lane count, and with it the size of each call.  Returns
+    the arrays (argmin, value).
+    """
+    a = np.array(a, dtype=float, ndmin=1)
+    b = np.array(b, dtype=float, ndmin=1)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), a.shape)
+    if not a.size:
+        return np.empty(0), np.empty(0)
+    lanes = np.arange(a.size)
+    m = np.empty(a.size)
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = np.split(np.asarray(f(np.tile(lanes, 2), np.concatenate([c, d])), dtype=float), 2)
+    # the state of the open lanes only; a lane leaves it when its bracket closes
+    live = lanes
+    while True:
+        open_ = b - a > tol
+        if not open_.all():
+            m[live[~open_]] = 0.5 * (a[~open_] + b[~open_])
+            live, a, b, c, d, fc, fd, tol = (x[open_] for x in (live, a, b, c, d, fc, fd, tol))
+            if not live.size:
+                return m, np.asarray(f(lanes, m), dtype=float)
+        # fc < fd keeps [a, d] and probes a new c, otherwise [c, b] and a new d
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        fx = np.asarray(f(live, x), dtype=float)
+        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
+                        np.where(left, fx, fd), np.where(left, fc, fx))
+
+
 def find_local_min_q(
     curve_value: Callable[[float], float], q_lo: float, q_hi: float, tol: float = 1e-6
 ) -> tuple[float, float]:
     """Golden-section argmin of a curve over a q bracket (assumes unimodal there).
 
-    The package's one golden-section loop: `minimize_over_rho` and
-    `full_conf_alpha_cut` refine over rho and mu brackets with it too.
-    Returns (argmin, value).
+    One lane of the package's golden-section loop: curve_value takes and
+    returns floats.  Returns (argmin, value).
     """
-    a, b = q_lo, q_hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = curve_value(c), curve_value(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = curve_value(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = curve_value(d)
-    m = 0.5 * (a + b)
-    return m, curve_value(m)
+    m, fm = _golden_lanes(lambda _, x: [curve_value(t) for t in x.tolist()], q_lo, q_hi, tol)
+    return float(m[0]), float(fm[0])
 
 
 def hardness_value(problem: Problem, q: float) -> float:
     """Pointwise hardness infimum at one q (no flattening)."""
-    if problem == "2sat":
-        problem = "vc"
-    return _hardness_point(problem, q)[1]
+    return float(minimize_over_rho(_beta(problem), [q])[1][0])

@@ -103,6 +103,17 @@ class TestCurves:
         assert capsys.readouterr().err.startswith("error: --")
         assert not out.exists()
 
+    def test_rejects_q_min_above_q_max(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["curves", "--problem", "cut", "--kind", "hardness", "--q-min", "0.5",
+                     "--q-max", "0.4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --q-min 0.5 is above --q-max 0.4\n"
+        assert not out.exists()
+        # equal ends make a one-point grid
+        assert main(["curves", "--problem", "cut", "--kind", "alpha", "--q-min", "0.4",
+                     "--q-max", "0.4", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
+
     def test_rejects_step_too_small_to_move_q(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["curves", "--problem", "cut", "--kind", "alpha", "--q-min", "0.3",
@@ -254,6 +265,16 @@ class TestGadgetPipeline:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: target weight r must lie in [0, 1]")
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+    def test_density_rejects_non_finite_eps(self, eps, tmp_path, capsys):
+        path = tmp_path / "one.graph"
+        path.write_text("graph v1\nvertex 1 1\nedge 1 1 1\n", encoding="utf-8")
+        assert main(["density", "--graph", str(path), "--mode", "exact", "--r", "0.5",
+                     "--rho", "-0.5", f"--eps={eps}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --eps must be finite, got {float(eps)!r}\n"
 
     @pytest.mark.parametrize("command", ["gadget", "completeness"])
     def test_ug_without_edges(self, command, tmp_path, capsys):

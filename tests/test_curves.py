@@ -12,7 +12,6 @@ from ccmax import curves
 from ccmax.curves import (
     UNCONSTRAINED_2SAT_LEVEL,
     Configuration,
-    CurvePoint,
     RhoInterval,
     alpha_2sat,
     alpha_cut,
@@ -30,7 +29,9 @@ from ccmax.curves import (
     triangle_violation,
 )
 from ccmax.errors import DomainError
-from ccmax.gaussian import gamma_rho
+from ccmax.gaussian import gamma_rho, gamma_rho_vec
+
+import curves_oracles as oracles
 
 
 class TestKappa:
@@ -123,7 +124,7 @@ class TestBetaVc:
         assert beta_vc(0.364, -0.364 / 0.636) == pytest.approx(0.929148, abs=1e-3)
 
     def test_figure_point_minimized(self):
-        _, v = minimize_over_rho(lambda r: beta_vc(0.6, r), 0.6)
+        _, (v,) = minimize_over_rho(lambda q, r: beta_vc(0.6, r), [0.6])
         assert v == pytest.approx(0.944240, abs=1e-3)
 
 
@@ -131,24 +132,24 @@ class TestMinimizeOverRho:
     def test_analytic_parabola(self):
         # kappa(4/9) = [-0.8, 0); shifted parabola has its minimum inside
         q = 4.0 / 9.0
-        rho_star, value = minimize_over_rho(lambda r: (r + 0.45) ** 2 + 0.3, q)
+        (rho_star,), (value,) = minimize_over_rho(lambda q, r: (r + 0.45) ** 2 + 0.3, [q])
         assert rho_star == pytest.approx(-0.45, abs=1e-6)
         assert value == pytest.approx(0.3, abs=1e-10)
 
     def test_minimum_at_closed_endpoint(self):
         q = 0.25  # kappa = [-1/3, 0); increasing function attains min at lo
-        rho_star, value = minimize_over_rho(lambda r: r + 1.0, q)
+        (rho_star,), (value,) = minimize_over_rho(lambda q, r: r + 1.0, [q])
         assert rho_star == pytest.approx(-1.0 / 3.0, abs=1e-9)
         assert value == pytest.approx(2.0 / 3.0, abs=1e-9)
 
     def test_cut_at_half(self):
-        rho_star, value = minimize_over_rho(lambda r: beta_cut(0.5, r), 0.5)
+        (rho_star,), (value,) = minimize_over_rho(lambda q, r: beta_cut(0.5, r), [0.5])
         assert rho_star == pytest.approx(-0.689, abs=1e-3)
         assert value == pytest.approx(0.878567, abs=1e-3)
 
     def test_cut_at_worst_q_hits_extremal_rho(self):
         q = 0.364
-        rho_star, value = minimize_over_rho(lambda r: beta_cut(q, r), q)
+        (rho_star,), (value,) = minimize_over_rho(lambda _, r: beta_cut(q, r), [q])
         assert rho_star == pytest.approx(kappa(q).lo, abs=1e-3)
         assert value == pytest.approx(0.858297, abs=1e-3)
 
@@ -350,66 +351,6 @@ def q_grid(q_min: float, q_max: float, step: float = 0.004) -> list[float]:
     return [round(q_min + i * step, 12) for i in range(count)]
 
 
-def hardness_curve_oracle(problem, q_grid, flatten=False):
-    """The earlier two-path hardness_curve: a separate 2sat routine that
-    evaluates every grid q twice and joins grid and mirrors by position."""
-    qs = curves._validate_grid(q_grid)
-    if problem == "2sat":
-        return _curve_2sat_oracle(qs, flatten)
-    raw = [curves._hardness_point(problem, q) for q in qs]
-    if not flatten:
-        return [CurvePoint(q, v, r, False) for q, (r, v) in zip(qs, raw)]
-    vals = np.array([v for _, v in raw])
-    if problem == "vc":
-        flat = np.minimum.accumulate(vals[::-1])[::-1]
-    else:
-        flat = vals.copy()
-        left = [i for i, q in enumerate(qs) if q <= 0.5]
-        right = [i for i, q in enumerate(qs) if q >= 0.5]
-        if left:
-            seg = vals[left]
-            flat[left] = np.minimum.accumulate(seg[::-1])[::-1]
-        if right:
-            flat[right] = np.minimum.accumulate(vals[right])
-    out = []
-    for i, (q, (r, v)) in enumerate(zip(qs, raw)):
-        clipped = flat[i] < v - 1e-15
-        out.append(CurvePoint(q, float(flat[i]), None if clipped else r, clipped))
-    return out
-
-
-def _curve_2sat_oracle(qs, flatten):
-    raw = [curves._hardness_point("vc", q) for q in qs]
-    if not flatten:
-        return [CurvePoint(q, v, r, False) for q, (r, v) in zip(qs, raw)]
-    combined: list[float] = []
-    pos: dict[float, int] = {}
-    mirror_of: list[float] = []
-    for q in qs:
-        m = 1.0 - q
-        for cand in (q, m):
-            match = next((c for c in combined if abs(c - cand) <= 1e-12), None)
-            if match is None:
-                pos[cand] = len(combined)
-                combined.append(cand)
-            else:
-                pos[cand] = pos[match]
-        mirror_of.append(m)
-    order = np.argsort(combined)
-    sorted_q = [combined[i] for i in order]
-    sorted_vals = np.array([curves._hardness_point("vc", q)[1] for q in sorted_q])
-    vcflat_sorted = np.minimum.accumulate(sorted_vals[::-1])[::-1]
-    vcflat = np.empty(len(combined))
-    vcflat[order] = vcflat_sorted
-    out = []
-    for q, m, (r, v) in zip(qs, mirror_of, raw):
-        s = min(vcflat[pos[q]], vcflat[pos[m]])
-        clamped = min(s, UNCONSTRAINED_2SAT_LEVEL)
-        clipped = clamped < v - 1e-15
-        out.append(CurvePoint(q, float(clamped), None if clipped else r, clipped))
-    return out
-
-
 def _as_tuples(points):
     return [(p.q, p.ratio, p.rho_star, p.flattened) for p in points]
 
@@ -424,24 +365,26 @@ def point_cache():
 
 @pytest.fixture
 def shared_points(point_cache, monkeypatch):
-    """Let the curve and its oracle read one evaluation per (problem, q)."""
-    point = curves._hardness_point
+    """Let the oracle read one scalar evaluation per (problem, q) across tests."""
+    point = oracles.hardness_point
 
     def cached(problem, q):
         if (problem, q) not in point_cache:
             point_cache[problem, q] = point(problem, q)
         return point_cache[problem, q]
 
-    monkeypatch.setattr(curves, "_hardness_point", cached)
+    monkeypatch.setattr(oracles, "hardness_point", cached)
 
 
 class TestHardnessCurveOracle:
+    """The lane curve against the scalar two-path oracle, compared with ==."""
+
     @pytest.mark.parametrize("flatten", [False, True])
     @pytest.mark.parametrize("problem", ["cut", "vc", "2sat"])
     def test_figure_grids(self, problem, flatten, shared_points):
         grid = FIGURE_GRIDS[problem]
         assert _as_tuples(hardness_curve(problem, grid, flatten)) == _as_tuples(
-            hardness_curve_oracle(problem, grid, flatten))
+            oracles.hardness_curve(problem, grid, flatten))
 
     @pytest.mark.parametrize("grid", [
         [0.21, 0.33, 0.5, 0.61, 0.62, 0.9],  # mirrors fall off the grid
@@ -451,24 +394,234 @@ class TestHardnessCurveOracle:
     @pytest.mark.parametrize("problem", ["cut", "vc", "2sat"])
     def test_off_grid_mirrors_and_upper_half(self, problem, flatten, grid, shared_points):
         assert _as_tuples(hardness_curve(problem, grid, flatten)) == _as_tuples(
-            hardness_curve_oracle(problem, grid, flatten))
+            oracles.hardness_curve(problem, grid, flatten))
 
     def test_flattened_2sat_evaluates_each_q_once(self, monkeypatch):
+        # the curve hands every q to one minimize_over_rho call; the oracle
+        # evaluates point by point
+        batches = []
+        minimize = curves.minimize_over_rho
+
+        def recorded(f, qs):
+            batches.append(list(qs))
+            return minimize(f, qs)
+
+        monkeypatch.setattr(curves, "minimize_over_rho", recorded)
+        chunk = q_grid(0.3, 0.328)
+        assert len(chunk) == 8
+        hardness_curve("2sat", chunk, flatten=True)
+        assert len(batches) == 1
+        assert len(batches[0]) == 16 == len(set(batches[0]))
         calls = []
-        point = curves._hardness_point
+        point = oracles.hardness_point
 
         def counted(problem, q):
             calls.append(q)
             return point(problem, q)
 
-        monkeypatch.setattr(curves, "_hardness_point", counted)
-        chunk = q_grid(0.3, 0.328)
-        assert len(chunk) == 8
-        hardness_curve("2sat", chunk, flatten=True)
-        assert len(calls) == 16 == len(set(calls))
-        calls.clear()
-        hardness_curve_oracle("2sat", chunk, flatten=True)
+        monkeypatch.setattr(oracles, "hardness_point", counted)
+        oracles.hardness_curve("2sat", chunk, flatten=True)
         assert len(calls) == 24
+
+    def test_lane_blocks(self, monkeypatch):
+        # blocks of 3 lanes give what one block gives, and what q-by-q gives
+        grid = [0.05, 0.2, 0.37, 0.5, 0.63, 0.8, 0.95]
+        whole = minimize_over_rho(curves._beta_cut, grid)
+        monkeypatch.setattr(curves, "_LANE_BLOCK", 3)
+        blocked = minimize_over_rho(curves._beta_cut, grid)
+        single = [oracles.hardness_point("cut", q) for q in grid]
+        assert [list(map(float.hex, col)) for col in whole] == [
+            list(map(float.hex, col)) for col in blocked] == [
+            [float(r).hex() for r, _ in single], [float(v).hex() for _, v in single]]
+
+
+def _mirror_grids():
+    """Strictly increasing grids in (0, 1) with points within 1e-12 of
+    each other and of mirrors 1 - q."""
+    base = st.floats(1e-3, 1 - 1e-3)
+    near = st.tuples(base, st.sampled_from([0.0, 1e-12, -1e-12, 5e-13, -5e-13, 2e-12, 3e-16]),
+                     st.booleans()).map(lambda t: (1.0 - t[0] if t[2] else t[0]) + t[1])
+    return st.lists(base | near, min_size=1, max_size=40).map(
+        lambda xs: sorted({x for x in xs if 0.0 < x < 1.0})).filter(bool)
+
+
+class TestWithMirrors:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(_mirror_grids())
+    def test_matches_linear_scan(self, qs):
+        assert curves._with_mirrors(qs) == oracles.with_mirrors(qs)
+
+    def test_first_match_wins(self):
+        # 0.7 - 5e-13 and 0.7 + 4e-13 both lie within 1e-12 of 1 - 0.3
+        qs = [0.3, 0.7 - 5e-13, 0.7 + 4e-13]
+        assert curves._with_mirrors(qs) == (qs, [1, 0, 0])
+        # an appended mirror serves the later q within 1e-12 of it
+        qs = [0.3, 0.3 + 4e-13, 0.3 + 1.5e-12]
+        assert curves._with_mirrors(qs) == (qs + [1 - 0.3, 1 - qs[2]], [3, 3, 4])
+
+
+# one-element calls of the batched formulas give the same bits as element j
+FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+def _same_bits(batched, single):
+    return [float(v).hex() for v in batched] == [float(v).hex() for v in single]
+
+
+class TestBatchedBitForBit:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1.0, 1.0, **FINITE) | st.sampled_from([-1.0, 0.0, 1.0]),
+                              st.floats(0.0, 1.0, **FINITE) | st.sampled_from([0.0, 1.0]),
+                              st.floats(0.0, 1.0, **FINITE)), min_size=1, max_size=40))
+    def test_gamma_rho_vec(self, rows):
+        rho, x, y = (np.array(c) for c in zip(*rows))
+        batched = gamma_rho_vec(rho, x, y)
+        assert _same_bits(batched, [gamma_rho_vec(*row) for row in rows])
+        assert _same_bits(batched, [gamma_rho_vec(*map(np.array, ([r], [a], [b])))[0]
+                                    for r, a, b in rows])
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1e-6, 1 - 1e-6), st.floats(0.0, 1.0, exclude_max=True)),
+                    min_size=1, max_size=40))
+    def test_beta(self, rows):
+        # rho = lo + t (0 - lo) sweeps kappa(q) from its left end
+        q = np.array([r[0] for r in rows])
+        rho = np.array([curves.extremal_rho(a) * (1.0 - t) for a, t in rows])
+        for beta in (curves._beta_cut, curves._beta_vc):
+            batched = beta(q, rho)
+            assert _same_bits(batched, [beta(a, r) for a, r in zip(q.tolist(), rho.tolist())])
+            # the scan form: one float q over an array of rhos
+            q0 = q.tolist()[0]
+            assert _same_bits(beta(q0, rho), [beta(q0, r) for r in rho.tolist()])
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1.0, 1.0, **FINITE) | st.sampled_from([-1.0, 1.0]),
+                              st.floats(-1.0, 1.0, **FINITE) | st.sampled_from([-1.0, 1.0]),
+                              st.floats(0.0, 1.0)), min_size=1, max_size=40))
+    def test_conf_ratio_cut(self, rows):
+        m1, m2, t = (np.array(c) for c in zip(*rows))
+        lo, hi = curves._rho_range(m1, m2)
+        rho = lo + (hi - lo) * t
+        batched = curves._conf_ratio_cut(m1, m2, rho)
+        assert _same_bits(batched, [curves._conf_ratio_cut(a, b, r) for a, b, r in
+                                    zip(m1.tolist(), m2.tolist(), rho.tolist())])
+
+
+def _objective(p, x):
+    """By kind: a tilted double well, a staircase with many ties, or a
+    kinked sum of distances; every operation is exactly rounded."""
+    kind, u, v, w = p
+    well = (x - u) * (x - u) * (x - v) * (x - v) + w * x
+    stairs = np.floor(x * w * 10.0) % 3.0
+    kinks = np.abs(x - u) + 0.5 * np.abs(x - v) - w * x
+    return np.where(kind == 0, well, np.where(kind == 1, stairs, kinks))
+
+
+PARAMS = st.tuples(st.sampled_from([0, 1, 2]), st.floats(-2, 2), st.floats(-2, 2),
+                   st.floats(-2, 2))
+# a tol of None stands for the bracket's own width: the loop must not step
+LANE = st.tuples(PARAMS, st.floats(-3, 3), st.floats(-3, 3),
+                 st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 0.1, 10.0, None])
+                 | st.floats(1e-12, 1.0)).map(
+    lambda t: t if t[3] is not None else (*t[:3], t[2] - t[1]))
+
+
+def _in_polytope(m1, m2, t):
+    """(mu1, mu2, rho) with rho a share t along its feasible segment."""
+    lo, hi = curves._rho_range(m1, m2)
+    return m1, m2, lo * (1.0 - t) + hi * t
+
+
+POLYTOPE_POINTS = st.builds(_in_polytope, st.floats(-0.98, 0.98), st.floats(-0.98, 0.98),
+                            st.floats(0.0, 1.0))
+
+
+def _landscape(p, m1, m2, r):
+    """By kind: a tilted plane (its minimum on an edge), a valley that
+    takes coordinate descent a few dozen sweeps, a staircase of ties,
+    or (kind 3) a valley narrow enough to use all 200 sweeps."""
+    kind, u, v, w = p
+    if kind == 0:
+        return u * m1 + v * m2 + w * r
+    if kind == 2:
+        return np.floor((m1 + w * m2 + r) * 5.0)
+    width = 10.0 if kind == 1 else 1e3
+    return width * (m1 - m2) * (m1 - m2) + (m1 + m2 - u) * (m1 + m2 - u) + (r - v) * (r - v)
+
+
+class TestGoldenLanes:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(LANE, min_size=1, max_size=12))
+    def test_lanes_match_scalar_loop(self, lanes):
+        params = [p for p, *_ in lanes]
+        a, b, tol = (np.array(c) for c in zip(*[(lo, hi, t) for _, lo, hi, t in lanes]))
+        columns = [np.array(c) for c in zip(*params)]
+
+        def f(k, x):
+            return _objective([c[k] for c in columns], x)
+
+        m, fm = curves._golden_lanes(f, a, b, tol)
+        for j, (p, lo, hi, t) in enumerate(lanes):
+            pj = [np.float64(c[j]) for c in columns]
+            om, ofm = oracles.golden_section(lambda x: _objective(pj, x), lo, hi, t)
+            assert (float(m[j]).hex(), float(fm[j]).hex()) == (float(om).hex(), float(ofm).hex())
+
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(PARAMS, st.lists(POLYTOPE_POINTS, min_size=1, max_size=3))
+    def test_descent_lanes_match_scalar_descent(self, p, starts):
+        m1, m2, r = (np.array(c) for c in zip(*starts))
+        got = curves._descend(lambda *x: _landscape(p, *x), m1, m2, r)
+        for j, start in enumerate(starts):
+            want = oracles.descend(lambda *x: _landscape(p, *x), *start)
+            assert [float(x[j]).hex() for x in got] == [float(x).hex() for x in want]
+
+    def test_descent_lanes_stop_at_the_sweep_cap(self):
+        starts = [(0.9, -0.5, 0.0), (-0.8, 0.7, -0.3), (0.1, 0.1, -0.5)]
+        p = (3, 0.3, 0.1, 0.0)
+        m1, m2, r = (np.array(c) for c in zip(*starts))
+        got = curves._descend(lambda *x: _landscape(p, *x), m1, m2, r)
+        want = [oracles.descend(lambda *x: _landscape(p, *x), *start) for start in starts]
+        assert [[float(v).hex() for v in x] for x in got] == [
+            [float(w[i]).hex() for w in want] for i in range(4)]
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(PARAMS, st.lists(st.floats(1e-3, 1 - 1e-3) | st.just(0.5), min_size=1, max_size=6))
+    def test_minimize_over_rho_matches_one_q_at_a_time(self, p, qs):
+        # flat and staircase families tie the refined point with the scan
+        # and the closed endpoint: the first least value must win
+        kind, u, v, w = p
+
+        def f(q, r):
+            if kind == 0:
+                return 0.0 * r + w
+            if kind == 1:
+                return np.floor(r * w * 10.0) + u * q
+            return (r - u * q) * (r - u * q) * (r - v) * (r - v) + w * r
+
+        qs = sorted(set(qs))
+        got = minimize_over_rho(f, qs)
+        want = [oracles.minimize_over_rho(lambda r: f(q, r), q) for q in qs]
+        assert [[float(x).hex() for x in col] for col in got] == [
+            [float(r).hex() for r, _ in want], [float(v).hex() for _, v in want]]
+
+    @pytest.mark.parametrize("fn", [alpha_cut, alpha_2sat])
+    def test_find_local_min_q_is_the_scalar_loop(self, fn):
+        assert find_local_min_q(fn, 0.3, 0.45, tol=1e-7) == oracles.golden_section(
+            fn, 0.3, 0.45, 1e-7)
+
+    def test_alpha_formulas_match_float_forms(self):
+        qs = np.linspace(0.001, 0.999, 999)
+        for curve, fn, oracle in (("cut", alpha_cut, oracles.alpha_cut),
+                                  ("2sat", alpha_2sat, oracles.alpha_2sat)):
+            want = [oracle(q) for q in qs.tolist()]
+            assert [fn(q) for q in qs.tolist()] == want
+            assert [p.ratio for p in approx_curve(curve, qs.tolist())] == want
+
+    @pytest.mark.parametrize("grid_density", [20, 32])
+    def test_full_conf_minima_match_scalar_descent(self, grid_density):
+        minima = curves._full_conf_minima(grid_density)
+        assert len(minima) == 18
+        assert minima == oracles.full_conf_minima(grid_density)
 
 
 class TestHardnessDomainEdges:
