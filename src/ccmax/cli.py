@@ -10,6 +10,7 @@ all randomness is counter-based from the given seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -220,7 +221,10 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it unchanged, and its
+    defaults are immutable, so every `main` call can share it."""
     parser = argparse.ArgumentParser(
         prog="ccmax",
         description="Cardinality-constrained Max-2-CSP toolkit: ratio curves, "
@@ -275,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--mode", choices=["exact", "search"], required=True)
     p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--r", type=float, nargs="+", default=[0.25, 0.5, 0.75])
+    p.add_argument("--r", type=float, nargs="+", default=(0.25, 0.5, 0.75))
     p.add_argument("--rho", type=_rho_arg,
                    help="report the density threshold at this correlation; "
                         "'extremal' takes the left end of kappa(r) for each r")

@@ -113,6 +113,11 @@ def _check_q(q: float) -> None:
         raise DomainError(f"q must lie strictly inside (0, 1), got {q!r}")
 
 
+def _check_problem(problem: str) -> None:
+    if problem not in ("cut", "vc", "2sat"):
+        raise DomainError(f"unknown problem {problem!r}")
+
+
 def kappa(q: float) -> RhoInterval:
     """Feasible negative correlations of two q-biased bits; -1 is out of reach at q = 1/2."""
     return RhoInterval(lo=extremal_rho(q), lo_closed=q != 0.5)
@@ -448,8 +453,7 @@ def hardness_curve(problem: Problem, q_grid: Sequence[float], flatten: bool = Fa
     not within 1e-12 of a point already listed, so
     min(curve(q), curve(1-q)) reads both sides from the same evaluations.
     """
-    if problem not in ("cut", "vc", "2sat"):
-        raise DomainError(f"unknown problem {problem!r}")
+    _check_problem(problem)
     qs = _validate_grid(q_grid)
     points, mirror = _with_mirrors(qs) if flatten and problem == "2sat" else (qs, [])
     rhos, vals = minimize_over_rho(_beta(problem), points)
@@ -482,8 +486,7 @@ def approx_curve(problem: Problem, q_grid: Sequence[float], flatten: bool = Fals
     transfers the worst case everywhere), mirroring how the
     algorithm-side lines are usually drawn.
     """
-    if problem not in ("cut", "vc", "2sat"):
-        raise DomainError(f"unknown problem {problem!r}")
+    _check_problem(problem)
     qs = _validate_grid(q_grid)
     alpha = _alpha_cut if problem == "cut" else _alpha_2sat
     at = np.array(qs)
@@ -552,4 +555,5 @@ def find_local_min_q(
 
 def hardness_value(problem: Problem, q: float) -> float:
     """Pointwise hardness infimum at one q (no flattening)."""
+    _check_problem(problem)
     return float(minimize_over_rho(_beta(problem), [q])[1][0])

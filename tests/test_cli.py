@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ccmax import __version__
-from ccmax.cli import MAX_CURVE_POINTS, main
+from ccmax.cli import MAX_CURVE_POINTS, build_parser, main
 from ccmax.curves import extremal_rho
 from ccmax.gadget import format_ug, random_ug
 from ccmax.gaussian import gamma_rho
@@ -204,6 +204,41 @@ class TestSolvePipeline:
         with pytest.raises(SystemExit) as exc:
             main(["sdp", "--input", str(cycle_file), "--tol", "1e-6"])
         assert exc.value.code == 2
+
+
+class TestOneParserPerProcess:
+    def test_repeated_commands_give_identical_results(self, ug_file, cycle_file, tmp_path,
+                                                      capsys):
+        # main parses with one parser per process: a second pass over the same
+        # commands, errors and defaults included, sees nothing left by the first
+        assert build_parser() is build_parser()
+        ug_path, _ = ug_file
+        graph = tmp_path / "g.graph"
+        sequence = [
+            ["gadget", "--ug", str(ug_path), "--q", "0.4", "--rho", "-0.3", "--out", str(graph)],
+            ["density", "--graph", str(graph), "--mode", "exact", "--rho", "-0.3"],
+            ["density", "--graph", str(graph), "--mode", "exact", "--r", "0.4", "0.6"],
+            ["gamma", "--rho", "2.0", "--x", "0.3", "--y", "0.4"],
+            ["gamma", "--rho", "0.5"],
+            ["brute", "--input", str(cycle_file)],
+            ["density", "--graph", str(graph), "--mode", "search"],
+        ]
+
+        def run():
+            results = []
+            for argv in sequence:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's usage error
+                    code = exc.code
+                results.append((code, *capsys.readouterr()))
+            return results
+
+        first = run()
+        assert [code for code, _, _ in first] == [0, 0, 0, 2, 2, 0, 0]
+        assert first[1][1].count("r=") == 3  # the --r default, 0.25 0.5 0.75
+        assert first[4][2].startswith("usage: ccmax gamma")
+        assert run() == first
 
 
 class TestGadgetPipeline:

@@ -331,6 +331,11 @@ class TestHardnessCurve:
         with pytest.raises(DomainError):
             hardness_curve("nope", [0.4])
 
+    def test_hardness_value_rejects_unknown_problem(self):
+        # every name but "cut" used to read as vc
+        with pytest.raises(DomainError, match="unknown problem 'nope'"):
+            hardness_value("nope", 0.4)
+
 
 class TestApproxCurve:
     def test_values_match_alpha(self):

@@ -11,9 +11,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import erfc
 
+import gaussian_oracles as oracles
 from ccmax.errors import DomainError
 from ccmax.gaussian import (
     gamma_rho,
@@ -37,6 +38,29 @@ INV_UPPER_TAIL = {
     30: 6.009353565530744,
     40: 7.047700256664409,
     50: 7.956038125481531,
+}
+
+# mpmath (dps=40): Gamma_rho(x, y) keyed by (rho, x, y), at the hard points of
+# Owen's formula: h = 0 (x = 1/2), h = k = 0, h = -k (y = 1 - x), 1 - |rho|
+# in {1e-6, 1e-8, 1e-10} at both signs, and x = 1e-6.  Quadrature over theta
+# = asin(rho) and over the conditional law Phi((k - rho t) / sqrt(1 - rho^2))
+# agree to 1e-41 at every point.
+GAMMA_HARD = {
+    (0.3, 0.5, 0.2): 0.13364733985253074,
+    (-0.7, 0.5, 0.9): 0.4053130638939769,
+    (1 - 1e-8, 0.5, 0.5): 0.49997749209202075,
+    (0.4, 0.3, 0.7): 0.25610010056171667,
+    (-0.9, 0.8, 0.2): 0.050067562058861946,
+    (1 - 1e-6, 0.3, 0.3): 0.29980383543693734,
+    (1 - 1e-8, 0.3, 0.3): 0.29998038354481804,
+    (1 - 1e-10, 0.3, 0.3): 0.29999803835440675,
+    (-(1 - 1e-6), 0.3, 0.7): 0.00019616456306264008,
+    (-(1 - 1e-8), 0.3, 0.7): 1.9616455181924935e-05,
+    (-(1 - 1e-10), 0.3, 0.7): 1.9616455932194363e-06,
+    (-1 + 1.6e-10, 0.497, 0.497): 0.0,  # below 1e-40
+    (0.5, 1e-6, 0.3): 9.874416305754355e-07,
+    (-0.5, 1e-6, 0.999): 7.603514413054294e-07,
+    (0.9, 1e-6, 1e-6): 2.5672167838891214e-07,
 }
 
 EPS = np.finfo(float).eps
@@ -294,6 +318,28 @@ class TestGammaRho:
         vec = gamma_rho_vec(rhos, xs, ys)
         for r, x, y, v in zip(rhos, xs, ys, vec):
             assert gamma_rho(float(r), float(x), float(y)) == v
+
+    @pytest.mark.parametrize("rho, x, y", list(GAMMA_HARD))
+    def test_hard_points_against_mpmath(self, rho, x, y):
+        # plus 2 eps for Phi^{-1}'s few ulps in h and k and the literal's rounding
+        tol = oracles.owen_error_bound(rho) + 2.0 * EPS
+        assert abs(gamma_rho(rho, x, y) - GAMMA_HARD[(rho, x, y)]) <= tol
+
+    @settings(max_examples=300, derandomize=True)
+    @given(
+        rho=st.floats(-(1.0 - 1e-4), 1.0 - 1e-4),
+        x=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                    st.sampled_from([0.5, 1e-6])),
+        y=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                    st.sampled_from([0.5, 1e-6]), st.just("1 - x")),
+    )
+    def test_matches_quadrature_oracle(self, rho, x, y):
+        # the former 96-node rule agrees to the bound derived for both methods
+        if y == "1 - x":
+            y = 1.0 - x
+            assume(y < 1.0)
+        assert abs(gamma_rho(rho, x, y) - oracles.gamma_rho_quad(rho, x, y)) \
+            <= oracles.agreement_bound(rho)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
