@@ -48,7 +48,8 @@ import numpy as np
 from .curves import extremal_rho
 from .errors import DomainError, FormatError, SizeGuardError
 from .gaussian import stream
-from .instance import CCInstance, Constraint, Or, Xor, by_id, read_columns, read_lines
+from .instance import (CUT_KIND, VERTEX_COVER_KIND, CCInstance, Constraint, by_id, read_columns,
+                       read_lines)
 
 MAX_LABELS = 14
 MAX_EXACT_DENSITY_VERTICES = 24
@@ -131,21 +132,20 @@ class NuDistribution:
 def nu(q: float, rho: float) -> NuDistribution:
     """Correlated-bit table with off-diagonal mass t = (q - q^2)(1 - rho).
 
-    Accepts any rho for which the table is a distribution: at or above
-    the extremal negative correlation `curves.extremal_rho(q)`, up to +1
-    (independence at 0 included).
+    Accepts 0 < q < 1 and any finite rho <= 1 whose diagonal cells
+    p00 = 1 - q - t and p11 = q - t are at least -1e-15: rho from the
+    extremal negative correlation lo = `curves.extremal_rho(q)`, up to
+    rounding, to +1 (independence at 0 included).
     """
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must be inside (0, 1), got {q!r}")
     lo = extremal_rho(q)
-    if not (math.isfinite(rho) and lo - 1e-12 <= rho <= 1.0):
-        raise DomainError(
-            f"rho={rho!r} gives a negative cell; need {lo:.12g} <= rho <= 1 at q={q}")
+    need = f"need {lo!r} <= rho <= 1 at q={q!r}"
+    if not (math.isfinite(rho) and rho <= 1.0):
+        raise DomainError(f"rho={rho!r} must be finite and at most 1; {need}")
     t = (q - q * q) * (1.0 - rho)
     table = NuDistribution(q=q, rho=rho, t=t,
                            p00=1.0 - q - t, p01=t, p10=t, p11=q - t)
     if min(table.p00, table.p11) < -1e-15:
-        raise DomainError(f"rho={rho} yields negative mass at q={q}")
+        raise DomainError(f"rho={rho!r} yields negative mass; {need}")
     return table
 
 
@@ -484,13 +484,8 @@ def derive_cc_instance(
     completeness set's cardinality instead, since vertex weights are
     unequal and the weight-q set rarely matches a count quantile.
     """
-    if problem == "cut":
-        kind = Xor(-1)
-        label = "cut"
-    elif problem == "kvc":
-        kind = Or((1, 1, -1))
-        label = "kvc"
-    else:
+    kind = {"cut": CUT_KIND, "kvc": VERTEX_COVER_KIND}.get(problem)
+    if kind is None:
         raise DomainError(f"unknown problem {problem!r}")
     n = graph.n_vertices
     if k is None:
@@ -500,7 +495,7 @@ def derive_cc_instance(
         for a, b, w in zip(graph.edge_a, graph.edge_b, graph.edge_w)
         if w > 0.0
     )
-    return CCInstance(n=n, k=int(k), constraints=cons, problem=label)
+    return CCInstance(n=n, k=int(k), constraints=cons, problem=problem)
 
 
 def random_ug(

@@ -178,12 +178,13 @@ class CCInstance:
 
 
 def as_assignment(values: Sequence[int] | np.ndarray, n: int | None = None) -> np.ndarray:
-    a = np.asarray(values, dtype=np.int64)
-    if a.ndim != 1 or not np.all(np.isin(a, (-1, 1))):
+    """`values` as an int64 vector, checked to hold only -1 and +1 before the cast."""
+    a = np.asarray(values)
+    if a.ndim != 1 or not np.all((a == 1) | (a == -1)):
         raise DomainError("assignment must be a flat vector of -1/+1 values")
     if n is not None and a.size != n:
         raise DomainError(f"assignment has {a.size} entries, instance has {n} variables")
-    return a
+    return a.astype(np.int64, copy=False)
 
 
 def cardinality(values: Sequence[int] | np.ndarray) -> int:
@@ -198,8 +199,6 @@ def is_feasible(inst: CCInstance, values: Sequence[int] | np.ndarray) -> bool:
 def evaluate(inst: CCInstance, values: Sequence[int] | np.ndarray) -> float:
     """Weighted sum of constraint values; does not check cardinality."""
     a = as_assignment(values, inst.n)
-    if not inst.constraints:
-        return 0.0
     i, j, w, c0, c1, c2, c3 = inst._arrays
     xi = a[i].astype(float)
     xj = a[j].astype(float)
@@ -208,8 +207,6 @@ def evaluate(inst: CCInstance, values: Sequence[int] | np.ndarray) -> float:
 
 def evaluate_many(inst: CCInstance, rows: np.ndarray) -> np.ndarray:
     """Objective for a batch of assignments (rows of -1/+1), vectorized."""
-    if not inst.constraints:
-        return np.zeros(rows.shape[0])
     i, j, w, c0, c1, c2, c3 = inst._arrays
     xi = rows[:, i].astype(float)
     xj = rows[:, j].astype(float)
@@ -236,8 +233,7 @@ def brute_force_opt(inst: CCInstance, batch: int = 16384) -> tuple[np.ndarray, f
             break
         idx = np.array(chunk, dtype=np.int64).reshape(len(chunk), inst.k)
         rows = -np.ones((len(chunk), inst.n), dtype=np.int64)
-        if inst.k:
-            np.put_along_axis(rows, idx, 1, axis=1)
+        np.put_along_axis(rows, idx, 1, axis=1)
         vals = evaluate_many(inst, rows)
         last = vals.size - 1 - int(np.argmax(vals[::-1]))
         if vals[last] >= best_val:
@@ -282,17 +278,14 @@ def greedy_assignment(inst: CCInstance) -> np.ndarray:
     Not optimal; used to seed the relaxation solver with a decent
     integral point when brute force is out of reach.
     """
+    i, j, w, _, c1, c2, c3 = inst._arrays
     lin = np.zeros(inst.n)
-    if inst.constraints:
-        i, j, w, _, c1, c2, c3 = inst._arrays
-        np.add.at(lin, i, w * c1)
-        np.add.at(lin, j, w * c2)
+    np.add.at(lin, i, w * c1)
+    np.add.at(lin, j, w * c2)
     order = np.lexsort((np.arange(inst.n), -lin))
     a = -np.ones(inst.n, dtype=np.int64)
     a[order[: inst.k]] = 1
 
-    if not inst.constraints:
-        return a
     Q = np.zeros((inst.n, inst.n))  # self-loops land on the diagonal, which no swap reads
     np.add.at(Q, (i, j), w * c3)
     Q += Q.T

@@ -134,10 +134,8 @@ class SDPProblem:
         obj = self.offset + float(self.obj_c @ g[self.obj_idx])
         target = self.balance_target
         h = float(g[1:self.n + 1].sum()) - target if target is not None else 0.0
-        if not self.tri.size:
-            return _Pieces(obj, h, 0.0, 0.0, np.zeros((0, 4)))
         viol = np.maximum(0.0, -1.0 - g[self.tri_idx] @ _TRI_SIGNS.T)
-        return _Pieces(obj, h, float(viol.max()), float((viol * viol).sum()), viol)
+        return _Pieces(obj, h, float(viol.max(initial=0.0)), float((viol * viol).sum()), viol)
 
     def dloss_dgram(self, lam: float, sigma: float, cur: _Pieces) -> np.ndarray:
         """Symmetric M with d(loss)/dV = 2 M V."""
@@ -145,12 +143,11 @@ class SDPProblem:
         if self.balance_target is not None:
             M[0, 1:] += (lam + sigma * cur.h) / 2
             M[1:, 0] = M[0, 1:]  # M_obj is exactly symmetric: both halves add the same terms
-        if cur.viol.size:
-            # d/dG of 0.5*sigma*sum v^2 = -sigma * v * dform/dG
-            half = 0.5 * ((-sigma * cur.viol) @ _TRI_SIGNS).ravel()
-            size = self.n + 1
-            M += np.bincount(self.scatter_idx, weights=np.concatenate([half, half]),
-                             minlength=size * size).reshape(size, size)
+        # d/dG of 0.5*sigma*sum v^2 = -sigma * v * dform/dG
+        half = 0.5 * ((-sigma * cur.viol) @ _TRI_SIGNS).ravel()
+        size = self.n + 1
+        M += np.bincount(self.scatter_idx, weights=np.concatenate([half, half]),
+                         minlength=size * size).reshape(size, size)
         return M
 
 

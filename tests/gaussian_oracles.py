@@ -1,10 +1,12 @@
 """The package's former orthant probability, kept as an oracle for `ccmax.gaussian`.
 
+`gamma_rho_branches` is `gamma_rho_vec` as it was written before its
+edge cases became its Frechet bounds: one masked branch per case.
 `bvn_quad` is the 96-node Gauss-Legendre rule that `gamma_rho` used
 before Owen's T: the correlation derivative of Pr[X <= h, Y <= k]
 integrated from rho = 0 under the substitution rho = sin(theta).
 `gamma_rho_quad` is `gamma_rho` on the interior through that rule.
-`owen_error_bound(rho)` and `agreement_bound(rho)` are derived bounds on
+`OWEN_ERROR_BOUND` and `agreement_bound(rho)` are derived bounds on
 gamma_rho's own error and on how far the two may differ.
 """
 
@@ -16,9 +18,44 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import erfc, ndtri
 
+from ccmax.gaussian import _bvn
+
 _NODES = 96
 _GL_NODES, _GL_WEIGHTS = leggauss(_NODES)
 EPS = float(np.finfo(float).eps)
+
+
+def gamma_rho_branches(rho, x, y):
+    """The four-branch `gamma_rho_vec`: marginal edges, rho = 1, rho = -1, interior."""
+    rho, x, y = np.broadcast_arrays(
+        np.asarray(rho, dtype=float), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    out = np.empty(rho.shape, dtype=float)
+
+    at_hi = rho >= 1.0
+    at_lo = rho <= -1.0
+    bnd = (x <= 0.0) | (y <= 0.0) | (x >= 1.0) | (y >= 1.0)
+    interior = ~(at_hi | at_lo | bnd)
+
+    if np.any(bnd):
+        # Marginal limits; never send 0/1 through the quantile function.
+        b = np.where((x <= 0.0) | (y <= 0.0), 0.0,
+                     np.where(x >= 1.0, np.where(y >= 1.0, 1.0, y),
+                              np.where(y >= 1.0, x, np.nan)))
+        out[bnd] = b[bnd]
+    hi_only = at_hi & ~bnd
+    lo_only = at_lo & ~bnd
+    if np.any(hi_only):
+        out[hi_only] = np.minimum(x, y)[hi_only]
+    if np.any(lo_only):
+        out[lo_only] = np.maximum(0.0, x + y - 1.0)[lo_only]
+    if np.any(interior):
+        h = ndtri(x[interior])
+        kk = ndtri(y[interior])
+        val = _bvn(h, kk, rho[interior])
+        lo_b = np.maximum(0.0, x[interior] + y[interior] - 1.0)
+        hi_b = np.minimum(x[interior], y[interior])
+        out[interior] = np.clip(val, lo_b, hi_b)
+    return out
 
 
 def bvn_quad(h, k, rho):
@@ -46,19 +83,29 @@ def gamma_rho_quad(rho: float, x: float, y: float) -> float:
     return min(max(val, max(0.0, x + y - 1.0)), min(x, y))
 
 
-def owen_error_bound(rho: float) -> float:
-    """Bound on gamma_rho's error at correlation rho, |rho| < 1, given its h and k.
-
-    Library functions (erfc, owens_t, sin, exp, the pairwise sum) are
-    taken to be within 2 ulps, eps = 2^-52, and the rounding terms are
-    first order in eps.  a_h = (k - rho h) / (h sqrt(1 - rho^2)) errs by
-    eps |rho| / sqrt(1 - rho^2) + 3 eps |a_h|, the first term from
-    rounding rho h, and |dT/da| <= 1 / (2 pi (1 + a^2)), so the two T
-    terms move by at most eps / (pi sqrt(1 - rho^2)) + 3 eps / (2 pi).
-    owens_t and erfc themselves, the quarter sums and the subtractions
-    add 10 eps.
-    """
-    return EPS / (math.pi * math.sqrt((1.0 - rho) * (1.0 + rho))) + 11.0 * EPS
+# Bound on gamma_rho's error at any |rho| < 1, given its h and k.
+#
+# Library functions (erfc, owens_t, sin, exp, the pairwise sum) are taken
+# to be within 2 ulps, eps = 2^-52; each arithmetic operation rounds by at
+# most u = eps / 2, and the rounding terms are first order in eps.  With
+# s = sqrt((1 - rho)(1 + rho)) and sigma = sign(rho), c = 1 - |rho|, the
+# numerator of a_h = (k - rho h) / (h s) is computed as
+# N = (k - sigma h) + sigma c h:
+#   - c is exact for |rho| >= 1/2 (Sterbenz) and off by u c below;
+#   - k - sigma h errs by u |k - sigma h| <= u (|N| + c |h|), since
+#     k - sigma h = N - sigma c h;
+#   - c h by 2 u c |h|, and the last sum by u |N|;
+# so N errs by 2 u |N| + 3 u c |h|.  The denominator h s and the division
+# add 4.5 u |a_h| (1 -+ rho, their product and the square root: 2.5 u;
+# h s and the quotient: u each).  Divided by |h| s, and as c / s =
+# sqrt(c / (2 - c)) <= 1, a_h errs by at most 3.25 eps |a_h| + 1.5 eps,
+# with nothing that grows as |rho| -> 1.  |dT/da| <= 1 / (2 pi (1 + a^2))
+# and |a| / (1 + a^2) <= 1/2, so each T term moves by at most
+# (1.625 + 1.5) eps / (2 pi) < eps / 2, the pair by eps.  owens_t and erfc
+# themselves, the quarter sums and the subtractions add 10 eps.  The same
+# holds for a_k with h and k swapped.  The former numerator k - rho h
+# rounded rho h, which cost eps / (pi s) more.
+OWEN_ERROR_BOUND = 11.0 * EPS
 
 
 def agreement_bound(rho: float) -> float:
@@ -66,7 +113,7 @@ def agreement_bound(rho: float) -> float:
 
     Both sides read the same h = Phi^{-1}(x), k = Phi^{-1}(y), and the
     shared Frechet clip only shrinks a difference, so the bound is
-    `owen_error_bound` plus the rule's error, with the same conventions:
+    `OWEN_ERROR_BOUND` plus the rule's error, with the same conventions:
 
     1. Truncation.  With s = sin(theta) the integrand is
        g = exp(-(h-k)^2 / (4(1-s)) - (h+k)^2 / (4(1+s))), so |g| <= 1
@@ -96,4 +143,4 @@ def agreement_bound(rho: float) -> float:
         r2 = (1.0 + math.sqrt(1.0 - inv_a2 * inv_a2)) / inv_a2
         trunc = asr / (4.0 * math.pi) * (64.0 / 15.0) * r2**-_NODES / (r2 - 1.0)
     rounding = 1.25 * EPS / ((1.0 - rho) * (1.0 + rho)) + 8.0 * EPS
-    return trunc + rounding + owen_error_bound(rho)
+    return trunc + rounding + OWEN_ERROR_BOUND

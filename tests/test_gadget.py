@@ -20,6 +20,7 @@ from format_oracles import (
 from gadget_oracles import local_search_oracle
 from mutations import cut_short, decorated, one_token_replaced
 
+from ccmax.curves import extremal_rho
 from ccmax.errors import CcmaxError, DomainError, FormatError, SizeGuardError
 from ccmax.gadget import (
     DENSITY_RESTARTS,
@@ -42,7 +43,7 @@ from ccmax.gadget import (
     ug_value,
 )
 from ccmax.gaussian import gamma_rho
-from ccmax.instance import brute_force_opt, evaluate
+from ccmax.instance import Or, Xor, brute_force_opt, evaluate
 
 SINGLE_EDGE_UG = UGInstance(1, 1, 1, ((0, 0, (0,)),))
 
@@ -214,6 +215,19 @@ class TestNu:
             nu(0.0, -0.1)
         with pytest.raises(DomainError):
             nu(0.4, 1.5)
+
+    @pytest.mark.parametrize("q, below, accepted", [
+        (0.3, 0.0, True), (0.3, 1e-14, False), (0.01, 0.0, True), (0.01, 1e-13, True),
+        (0.01, 1e-12, False), (0.365, 0.0, True), (0.5, 0.0, True), (0.5, -0.5, True)])
+    def test_lower_end_is_the_mass_check(self, q, below, accepted):
+        # rho = lo - below; p11 = q - t falls by q (1 - q) * below.  The CLI and the
+        # benchmark pass rho = lo, and -0.5 at q = 0.5.
+        lo = extremal_rho(q)
+        if accepted:
+            assert nu(q, lo - below).p11 >= -1e-15
+        else:
+            with pytest.raises(DomainError, match=rf"negative mass; need {lo!r} <= rho <= 1"):
+                nu(q, lo - below)
 
 
 class TestBuildGadget:
@@ -538,9 +552,19 @@ class TestDeriveInstance:
         inst = derive_cc_instance(g, "kvc", 0.5)
         assert inst.k == 1
 
+    @pytest.mark.parametrize("problem, kind", [("cut", Xor(-1)), ("kvc", Or((1, 1, -1)))])
+    def test_edges_become_constraints_of_the_problem_kind(self, problem, kind):
+        ug, _ = random_ug(2, 2, 2, 1, seed=8)
+        g = build_gadget(ug, 0.4, -0.3)
+        inst = derive_cc_instance(g, problem, 0.4)
+        assert inst.problem == problem
+        assert [(c.i, c.j, c.weight, c.kind) for c in inst.constraints] == [
+            (a, b, w, kind) for a, b, w in zip(g.edge_a.tolist(), g.edge_b.tolist(),
+                                               g.edge_w.tolist()) if w > 0.0]
+
     def test_rejects_unknown_problem(self):
         g = build_gadget(SINGLE_EDGE_UG, 0.5, 0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="unknown problem 'dicut'"):
             derive_cc_instance(g, "dicut", 0.5)
 
 

@@ -65,6 +65,10 @@ GAMMA_HARD = {
 
 EPS = np.finfo(float).eps
 
+# levels and correlations on and next to gamma_rho_vec's edge cases
+EDGE_LEVELS = [0.0, -0.0, 1.0, 5e-324, 1e-300, 1.0 - 2.0**-53]
+EDGE_RHOS = [1.0, -1.0, 1.0 - 2.0**-53, -(1.0 - 2.0**-53), 0.0, -0.0]
+
 # Acklam's rational approximation to Phi^{-1}, the seed of the package's
 # quantile before it called scipy's ndtri.
 _ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
@@ -319,10 +323,22 @@ class TestGammaRho:
         for r, x, y, v in zip(rhos, xs, ys, vec):
             assert gamma_rho(float(r), float(x), float(y)) == v
 
+    @pytest.mark.filterwarnings("error")  # edge lanes must not warn either
+    @settings(max_examples=300, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(-1.0, 1.0) | st.sampled_from(EDGE_RHOS),
+                              st.floats(0.0, 1.0) | st.sampled_from(EDGE_LEVELS),
+                              st.floats(0.0, 1.0) | st.sampled_from(EDGE_LEVELS)),
+                    min_size=1, max_size=12))
+    def test_frechet_edges_match_branch_oracle_bit_for_bit(self, triples):
+        rho, x, y = np.array(triples).T
+        got = gamma_rho_vec(rho, x, y)
+        assert np.array_equal(got.view(np.uint64),
+                              oracles.gamma_rho_branches(rho, x, y).view(np.uint64))
+
     @pytest.mark.parametrize("rho, x, y", list(GAMMA_HARD))
     def test_hard_points_against_mpmath(self, rho, x, y):
         # plus 2 eps for Phi^{-1}'s few ulps in h and k and the literal's rounding
-        tol = oracles.owen_error_bound(rho) + 2.0 * EPS
+        tol = oracles.OWEN_ERROR_BOUND + 2.0 * EPS
         assert abs(gamma_rho(rho, x, y) - GAMMA_HARD[(rho, x, y)]) <= tol
 
     @settings(max_examples=300, derandomize=True)

@@ -159,6 +159,8 @@ class TestEvaluate:
     def test_empty_constraints(self):
         inst = CCInstance(n=3, k=1, constraints=(), problem="cut")
         assert evaluate(inst, [-1, -1, 1]) == 0.0
+        many = evaluate_many(inst, np.array([[-1, -1, 1], [1, -1, -1]]))
+        assert many.dtype == float and many.tolist() == [0.0, 0.0]
 
     def test_single_cut_crossing(self):
         inst = CCInstance(n=2, k=1, constraints=(Constraint(0, 1, 1.0, Xor(-1)),), problem="cut")
@@ -260,6 +262,12 @@ class TestBruteForce:
         assert val == oracle_val
         assert np.array_equal(a, b)
 
+    def test_k_zero_and_no_constraints(self):
+        a, val = brute_force_opt(cycle_cut_instance(5, 0))
+        assert a.tolist() == [-1] * 5 and val == 0.0
+        a, val = brute_force_opt(CCInstance(n=4, k=2, constraints=()))
+        assert a.tolist() == [-1, -1, 1, 1] and val == 0.0  # every row ties
+
     def test_batch_boundaries(self):
         inst = cycle_cut_instance(8, 4)
         _, v1 = brute_force_opt(inst, batch=7)
@@ -281,6 +289,17 @@ class TestAssignments:
             as_assignment([1, 0, -1])
         with pytest.raises(DomainError):
             as_assignment([[1], [-1]])
+
+    def test_values_are_checked_before_the_integer_cast(self):
+        inst = cycle_cut_instance(3, 1)
+        with pytest.raises(DomainError):
+            as_assignment([1.5, -1.9, 1])
+        with pytest.raises(DomainError):
+            evaluate(inst, [1.9, -1.2, -1])
+        with pytest.raises(DomainError):
+            is_feasible(inst, [1.0, -0.5, -1.0])
+        a = as_assignment(np.array([1.0, -1.0, -1.0]))
+        assert a.dtype == np.int64 and a.tolist() == [1, -1, -1]
 
     @settings(max_examples=60, derandomize=True)
     @given(st.integers(2, 10), st.data())

@@ -347,6 +347,19 @@ class TestRoundBestOf:
             rep = round_best_of(sol, inst, rounds=100, seed=seed)
             assert rep.best_value / opt >= 0.858
 
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.integers(2, 24), st.integers(0, 2**16))
+    def test_gap_is_twice_the_flips(self, n, seed):
+        # the pre-repair gap read off each raw rounding, on fractional solutions
+        rng = np.random.default_rng(seed)
+        inst = random_instance(n, int(rng.integers(0, n + 1)), 2 * n, problem="cut", seed=seed)
+        sol = unit_row_solution(rng.uniform(-0.9, 0.9, n).tolist(), 4, rng)
+        rep = round_best_of(sol, inst, rounds=20, seed=seed)
+        gaps = [abs(float(np.sum(round_once(sol, stream(seed, t)))) - inst.balance)
+                for t in range(20)]
+        assert rep.pre_repair_gap_mean == float(np.mean(gaps))
+        assert rep.pre_repair_gap_max == float(np.max(gaps))
+
     def test_rejects_zero_rounds(self):
         inst = cycle(4, 2)
         sol = integral_solution(inst, np.array([1, -1, 1, -1]))

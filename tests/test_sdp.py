@@ -338,6 +338,22 @@ class TestOperators:
 
 
 class TestDomainEdges:
+    @pytest.mark.parametrize("cons", [
+        (), (Constraint(1, 1, 0.5, Or((1, 1, -1))), Constraint(2, 2, 2.0, Or((-1, 1, 1))))],
+        ids=["no-constraints", "self-loops"])
+    def test_no_pairs(self, cons):
+        # no triangle forms: nothing violated, and dloss_dgram is M_obj plus the balance term
+        p = relax(CCInstance(n=3, k=1, constraints=cons, problem="2sat"))
+        assert p.tri.shape == (0, 2)
+        V = np.random.default_rng(0).standard_normal((p.n + 1, p.dim))
+        cur = p.pieces(V / np.linalg.norm(V, axis=1, keepdims=True))
+        assert (cur.viol_max, cur.viol_sq, cur.viol.shape) == (0.0, 0.0, (0, 4))
+        want = p.M_obj.copy()
+        want[0, 1:] += (0.7 + 30.0 * cur.h) / 2
+        want[1:, 0] = want[0, 1:]
+        M = p.dloss_dgram(0.7, 30.0, cur)
+        assert M.dtype == float and np.array_equal(M, want)
+
     @pytest.mark.parametrize("inst", [
         CCInstance(n=6, k=2, constraints=(), problem="cut"),
         CCInstance(n=1, k=0, constraints=(), problem="cut"),
