@@ -126,9 +126,8 @@ def _cmd_sdp(args) -> int:
     for key, val in sol.residuals.items():
         print(f"residual_{key} {val:.6g}")
     if args.dump_gram:
-        G = sdp.gram_matrix(sol)
         lines = _header_lines("sdp", args)
-        for row in G:
+        for row in sol.vectors @ sol.vectors.T:
             lines.append(",".join(f"{v:.17g}" for v in row))
         _write(args.dump_gram, lines)
         print(f"wrote gram matrix to {args.dump_gram}")
@@ -198,12 +197,11 @@ def _cmd_completeness(args) -> int:
     rho = _rho_at(args.rho, args.q)
     graph = gadget.build_gadget(ug, args.q, rho)
     mask, w_s, cut = gadget.completeness_set(ug, labeling, graph)
-    t = (args.q - args.q**2) * (1 - rho)
     print(f"ug_value {_fmt(gadget.ug_value(ug, labeling))}")
     print(f"set_size {int(np.sum(mask))}")
     print(f"set_weight {_fmt(w_s)}")
     print(f"cut_weight {_fmt(cut)}")
-    print(f"two_t {_fmt(2 * t)}")
+    print(f"two_t {_fmt(2 * gadget.nu(args.q, rho).t)}")
     return 0
 
 
@@ -252,11 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.set_defaults(func=_cmd_brute)
 
+    defaults = sdp.SolveOptions()
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--input", required=True)
-    solver.add_argument("--restarts", type=int, default=3)
-    solver.add_argument("--seed", type=int, default=0)
-    solver.add_argument("--max-iters", type=int, default=50_000)
+    solver.add_argument("--restarts", type=int, default=defaults.restarts)
+    solver.add_argument("--seed", type=int, default=defaults.seed)
+    solver.add_argument("--max-iters", type=int, default=defaults.max_iters)
 
     p = sub.add_parser("sdp", parents=[solver], help="solve the vector relaxation")
     p.add_argument("--dump-gram")

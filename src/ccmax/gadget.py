@@ -192,30 +192,20 @@ class WeightedGraph:
     def subset_weight(self, mask: np.ndarray) -> float:
         return float(np.sum(self.vertex_weights[np.asarray(mask, dtype=bool)]))
 
-    def w_between(self, s_mask: np.ndarray, t_mask: np.ndarray) -> float:
-        """Weight of edges with one endpoint in S and the other in T."""
-        s = np.asarray(s_mask, dtype=bool)
-        t = np.asarray(t_mask, dtype=bool)
-        a_in_s = s[self.edge_a]
-        b_in_s = s[self.edge_b]
-        a_in_t = t[self.edge_a]
-        b_in_t = t[self.edge_b]
-        hit = (a_in_s & b_in_t) | (a_in_t & b_in_s)
-        return float(np.sum(self.edge_w[hit]))
-
     def internal_weight(self, mask: np.ndarray) -> float:
-        """w(S, S); the S = T case of `w_between` with one gather per side."""
+        """w(S, S): total weight of edges with both ends in S."""
         s = np.asarray(mask, dtype=bool)
         return float(np.sum(self.edge_w[s[self.edge_a] & s[self.edge_b]]))
 
     def cut_weight(self, mask: np.ndarray) -> float:
-        m = np.asarray(mask, dtype=bool)
-        return self.w_between(m, ~m)
+        """w(S, S^c): total weight of edges with one end in S and one outside."""
+        s = np.asarray(mask, dtype=bool)
+        return float(np.sum(self.edge_w[s[self.edge_a] != s[self.edge_b]]))
 
     def coverage_weight(self, mask: np.ndarray) -> float:
         """w(S, V): total weight of edges touching S."""
-        m = np.asarray(mask, dtype=bool)
-        return self.w_between(m, np.ones(self.n_vertices, dtype=bool))
+        s = np.asarray(mask, dtype=bool)
+        return float(np.sum(self.edge_w[s[self.edge_a] | s[self.edge_b]]))
 
 
 def biased_product_weights(q: float, n_labels: int) -> np.ndarray:
@@ -317,7 +307,6 @@ class DensitySample:
 @dataclass(frozen=True)
 class DensityProfile:
     samples: tuple[DensitySample, ...]
-    tol_r: float
 
 
 def _all_subset_stats(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -406,7 +395,7 @@ def density_profile(
             count = int(np.sum(hit))
             val = float(np.min(wss[hit])) if count else math.inf
             samples.append(DensitySample(r, val, "exact", count))
-        return DensityProfile(tuple(samples), tol_r)
+        return DensityProfile(tuple(samples))
 
     if mode != "local_search":
         raise DomainError(f"unknown mode {mode!r}")
@@ -469,7 +458,7 @@ def density_profile(
                     mask[v] = not adding
             best = min(best, cur)
         samples.append(DensitySample(r, best, "local_search", found))
-    return DensityProfile(tuple(samples), tol_r)
+    return DensityProfile(tuple(samples))
 
 
 def derive_cc_instance(

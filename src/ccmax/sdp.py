@@ -16,9 +16,11 @@ dominates the integral optimum.
 The solver is a low-rank factorization optimized by projected gradient
 descent with an augmented-Lagrangian multiplier on the balance equality
 and squared-hinge penalties on triangle violations.  Row norms are
-restored after every step.  It returns the best feasible-to-tolerance
-iterate over restarts; the attained value is a lower bound on the true
-relaxation optimum, not a certificate.  `solve_instance` always seeds
+restored after every step.  It returns the best iterate over restarts
+whose balance residual and triangle violations are within `TOL`; the
+attained value is a lower bound on the true relaxation optimum, not a
+certificate.  The solution carries the vectors V: its Gram matrix is
+V V^T, and `mu` is its row 0.  `solve_instance` always seeds
 restart 0 from an integral assignment (the caller's or the greedy one),
 so the attained value also dominates that assignment's objective.
 
@@ -41,7 +43,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,7 +157,6 @@ class SDPProblem:
 class SDPSolution:
     vectors: np.ndarray  # (n+1, dim), rows unit norm
     mu: np.ndarray  # (n,), mu[i] = <v_0, v_{i+1}>
-    rho: Mapping[tuple[int, int], float]  # variable pairs (0-based, i < j)
     objective_value: float
     residuals: dict[str, float]
     converged: bool
@@ -248,10 +249,11 @@ def solve(
     restart (restart 0 too, without a seed) starts at random.  Restart
     streams derive from (seed, restart_index); the result is
     deterministic for fixed options.  Each restart offers the best
-    feasible-to-tolerance iterate it met, else its last one.  An offer
-    whose residuals are both within 10 TOL counts as feasible and beats
-    any other; then the higher objective, or among infeasible offers the
-    smaller violation, wins, and ties go to the earlier restart.
+    iterate it met whose balance residual and triangle violations are
+    all within TOL, else its last one.  A feasible offer, one of the
+    former kind, beats any other; then the higher objective, or among
+    infeasible offers the smaller violation, wins, and ties go to the
+    earlier restart.
     """
     opts = opts or SolveOptions()
     if opts.restarts < 1:
@@ -340,17 +342,14 @@ def solve(
 
         consider(V, cur)
         V_rep, pc = snap or (V, cur)
-        feasible = max(abs(pc.h), pc.viol_max) <= 10 * TOL
-        key = (True, pc.obj) if feasible else (False, -(abs(pc.h) + pc.viol_max))
+        key = (True, pc.obj) if snap else (False, -(abs(pc.h) + pc.viol_max))
         if best is None or key > best[0]:
             best = (key, r, V_rep, pc, converged)
 
     _, r, V, pc, converged = best
-    rho = (V @ V.T).ravel()[problem.tri_idx[:, 2]]
     return SDPSolution(
         vectors=V,
         mu=V[1:] @ V[0],
-        rho=dict(zip(map(tuple, (problem.tri - 1).tolist()), rho.tolist())),
         objective_value=pc.obj,
         residuals={
             "balance": abs(pc.h),
@@ -377,7 +376,3 @@ def solve_instance(
     if integral_seed is None:
         integral_seed = greedy_assignment(inst)
     return solve(problem, opts, integral_seed=integral_seed)
-
-
-def gram_matrix(solution: SDPSolution) -> np.ndarray:
-    return solution.vectors @ solution.vectors.T

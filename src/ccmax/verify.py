@@ -159,7 +159,7 @@ def draw_pair_configs(rng: np.random.Generator, count: int) -> list[tuple[float,
     configs = []
     while len(configs) < count:
         m1, m2 = rng.uniform(-0.9, 0.9, 2)
-        lo, hi = -1 + abs(m1 + m2), 1 - abs(m1 - m2)
+        lo, hi = curves._rho_range(m1, m2)
         if hi > lo:
             configs.append((float(m1), float(m2), float(rng.uniform(lo, hi))))
     return configs
@@ -184,13 +184,10 @@ def pair_rounding_errors(configs: list[tuple[float, float, float]],
         z_pair = max(z_pair, abs(s12 - e) / se)
 
     _, alpha = curves.find_local_min_q(curves.alpha_cut, 0.3, 0.45, tol=1e-8)
-    margin = math.inf
-    for m1, m2, rho in configs:
-        if rho >= 1 - 1e-9:
-            continue
-        ratio = (1 - rounding.expected_pair_product(m1, m2, rho)) / (1 - rho)
-        margin = min(margin, ratio - (alpha - 1e-6))
-    return z_mu, z_pair, margin
+    m1, m2, rho = np.array(configs, dtype=float).reshape(-1, 3).T
+    live = rho < 1 - 1e-9
+    ratio = curves._conf_ratio_cut(m1[live], m2[live], rho[live])
+    return z_mu, z_pair, float(np.min(ratio, initial=math.inf)) - (alpha - 1e-6)
 
 
 def suite_rounding_stats(seed: int = 0) -> list[CheckRow]:

@@ -1,9 +1,15 @@
-"""The density local search before it screened flips, kept as an oracle.
+"""Former package code kept as oracles.
 
 `local_search_oracle` is the `mode="local_search"` branch of
 `gadget.density_profile` as it was when every tentative flip summed the
 subset weight over all vertices and the internal weight over all edges.
 The tests compare the package's screened search with it exactly.
+
+`w_between` is the two-set edge sum that `WeightedGraph.cut_weight`
+(T = S^c) and `coverage_weight` (T = V) called before each got its own
+one-mask selection; with T = S it selects `internal_weight`'s edges.
+Each selects the same edges in the same order, so the tests require
+equal sums with `==`.
 """
 
 from __future__ import annotations
@@ -58,4 +64,12 @@ def local_search_oracle(graph: WeightedGraph, r_grid: Sequence[float], seed: int
                     mask[v] = ~mask[v]
             best = min(best, cur)
         samples.append(DensitySample(r, best, "local_search", found))
-    return DensityProfile(tuple(samples), tol_r)
+    return DensityProfile(tuple(samples))
+
+
+def w_between(graph: WeightedGraph, s_mask: np.ndarray, t_mask: np.ndarray) -> float:
+    """Weight of edges with one endpoint in S and the other in T."""
+    s = np.asarray(s_mask, dtype=bool)
+    t = np.asarray(t_mask, dtype=bool)
+    hit = (s[graph.edge_a] & t[graph.edge_b]) | (t[graph.edge_a] & s[graph.edge_b])
+    return float(np.sum(graph.edge_w[hit]))

@@ -17,7 +17,7 @@ from format_oracles import (
     parse_ug_oracle,
     same_graph,
 )
-from gadget_oracles import local_search_oracle
+from gadget_oracles import local_search_oracle, w_between
 from mutations import cut_short, decorated, one_token_replaced
 
 from ccmax.curves import extremal_rho
@@ -349,7 +349,16 @@ class TestBuildGadgetOracle:
         assert np.array_equal(mask, want)
 
 
+def assert_sums_equal_w_between(graph: WeightedGraph, mask: np.ndarray) -> None:
+    everything = np.ones(graph.n_vertices, dtype=bool)
+    assert graph.internal_weight(mask) == w_between(graph, mask, mask)
+    assert graph.cut_weight(mask) == w_between(graph, mask, ~mask)
+    assert graph.coverage_weight(mask) == w_between(graph, mask, everything)
+
+
 class TestInternalWeight:
+    """Each edge sum selects `w_between`'s edges in its order, so the sums are equal."""
+
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_w_between_same_set(self, seed):
         ug, _ = random_ug(3, 3, 4, 2, seed=seed)
@@ -358,8 +367,13 @@ class TestInternalWeight:
         rng = np.random.default_rng(seed)
         for graph in (g, loops):
             for _ in range(20):
-                mask = rng.random(graph.n_vertices) < 0.5
-                assert graph.internal_weight(mask) == graph.w_between(mask, mask)
+                assert_sums_equal_w_between(graph, rng.random(graph.n_vertices) < 0.5)
+
+    @given(st.data(), search_graphs())
+    def test_search_graphs_equal_w_between(self, data, g):
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=g.n_vertices,
+                                           max_size=g.n_vertices)), dtype=bool)
+        assert_sums_equal_w_between(g, mask)
 
 
 class TestCompleteness:

@@ -43,7 +43,7 @@ def integral_solution(inst: CCInstance, a: np.ndarray, dim: int = 3) -> SDPSolut
     V[1:, 0] = a
     p = relax(inst)
     return SDPSolution(
-        vectors=V, mu=V[1:] @ V[0], rho={},
+        vectors=V, mu=V[1:] @ V[0],
         objective_value=objective_from_vectors(p, V),
         residuals=residuals_from_vectors(p, V), converged=True, restart_index=0)
 
@@ -59,7 +59,7 @@ def unit_row_solution(mus: list[float], dim: int, rng: np.random.Generator) -> S
     m = np.array(mus)[:, None]
     V = np.vstack([v0, m * v0 + np.sqrt(1.0 - m * m) * U])
     V /= np.linalg.norm(V, axis=1, keepdims=True)
-    return SDPSolution(vectors=V, mu=V[1:] @ V[0], rho={}, objective_value=0.0,
+    return SDPSolution(vectors=V, mu=V[1:] @ V[0], objective_value=0.0,
                        residuals={}, converged=True, restart_index=0)
 
 
@@ -162,7 +162,7 @@ class TestRoundOnce:
         V = np.zeros((n + 1, 3))
         V[0, 0] = 1.0
         V[1:, 1] = 1.0
-        sol = SDPSolution(vectors=V, mu=V[1:] @ V[0], rho={}, objective_value=0.0,
+        sol = SDPSolution(vectors=V, mu=V[1:] @ V[0], objective_value=0.0,
                           residuals={}, converged=True, restart_index=0)
         seen = set()
         for t in range(40):
@@ -180,7 +180,7 @@ class TestRoundOnce:
         for i, m in enumerate(mus):
             V[i + 1, 0] = m
             V[i + 1, 1 + i] = math.sqrt(1 - m * m)
-        sol = SDPSolution(vectors=V, mu=V[1:] @ V[0], rho={}, objective_value=0.0,
+        sol = SDPSolution(vectors=V, mu=V[1:] @ V[0], objective_value=0.0,
                           residuals={}, converged=True, restart_index=0)
         draws = 40_000
         acc = np.zeros(n)
