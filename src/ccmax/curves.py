@@ -19,7 +19,7 @@ beta_vc(q, -q/(1-q)) hold as identities; tests pin them to 1e-10.
 
 Each beta and alpha formula is written once and takes a float or an
 array; the alpha formulas evaluate up to _LANE_BLOCK grid points per
-call.
+call, and a rho scan up to _LANE_BLOCK x _SCAN_POINTS points.
 
 The package's one golden-section loop, `_golden_lanes`, runs on lanes:
 arrays of brackets, one per independent search.  Each step makes one
@@ -27,8 +27,9 @@ call to the objective over the lanes still open, and each lane repeats
 the scalar loop's float arithmetic and stops on its own tolerance, so a
 lane returns what the scalar loop would, bit for bit.  This rests on one
 property, pinned by tests: element j of a batched formula call equals
-the one-element call.  `minimize_over_rho` scans each q's rho interval
-once and refines the best brackets of every q of a curve as lanes;
+the one-element call.  `minimize_over_rho` scans the rho intervals of
+a block of q's in one call and refines the best brackets of every q of
+the block as lanes;
 `full_conf_alpha_cut` runs its line searches and its coordinate-descent
 starts as lanes; `find_local_min_q` is one lane.
 
@@ -80,10 +81,11 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Points in the dense rho scan that seeds each minimization.
 _SCAN_POINTS = 512
 _RHO_TOL = 1e-8  # bracket width at which the golden section over rho stops
-# Most q's that share one formula call: the lanes `minimize_over_rho`
-# refines together, and the grid points `approx_curve` evaluates at once.
-# A lane takes at most two points per call, so no call holds more points
-# than one q's scan, however long the grid.
+# Most q's that share one formula call: the q's whose rho grids
+# `minimize_over_rho` scans at once and then refines together as lanes,
+# and the grid points `approx_curve` evaluates at once.  The block's scan
+# is the largest call, so no call holds more than _LANE_BLOCK x
+# _SCAN_POINTS points (131072), however long the grid.
 _LANE_BLOCK = _SCAN_POINTS // 2
 
 Problem = Literal["cut", "vc", "2sat"]
@@ -131,8 +133,10 @@ def _check_rho_in_kappa(q: float, rho) -> None:
 
 
 def _beta_cut(q: float, rho):
-    g = gamma_rho_vec(rho, q, q) + gamma_rho_vec(rho, 1.0 - q, 1.0 - q)
-    return (1.0 - g) / (2.0 * (q - q * q) * (1.0 - rho))
+    q, rho = np.broadcast_arrays(q, rho)
+    z = np.stack([q, 1.0 - q])  # G(q) and G(1-q) in one call
+    g = gamma_rho_vec(rho, z, z)
+    return (1.0 - (g[0] + g[1])) / (2.0 * (q - q * q) * (1.0 - rho))
 
 
 def _beta_vc(q: float, rho):
@@ -154,32 +158,43 @@ def beta_vc(q: float, rho):
 def minimize_over_rho(f: Callable, qs: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Minimize a curve function over rho in kappa(q) for every q of qs.
 
-    f(q, rho) takes a float q with an array of rhos, or two arrays.  Each
-    q gets one call on a dense scan of _SCAN_POINTS points, which hedges
-    against non-unimodality.  The best brackets of up to _LANE_BLOCK q's
+    f(q, rho) takes a float q with an array of rhos, or two arrays that
+    broadcast.  Each q gets a dense scan of _SCAN_POINTS points inside
+    kappa(q), which hedges against non-unimodality.  A block of up to
+    _LANE_BLOCK q's scans in one call, f(block[:, None], grid) on a
+    (q, point) grid of at most _LANE_BLOCK x _SCAN_POINTS points, and each
+    row's first least point is its best.  The best brackets of the block
     are then refined together by golden section down to width _RHO_TOL,
-    one call per step.  The open right endpoint rho -> 0- has the
-    analytic limit value 1 and is never a minimizer; the left endpoint is
-    evaluated exactly when closed.  Of the refined point, the scan's best
-    and that endpoint, the first least value wins.  Returns the arrays
+    one call per step.  The scan ends at -1e-9, or, where kappa(q) does
+    not reach that far, as far inside 0 as the open left end lies inside
+    lo.  The open right endpoint rho -> 0- has the analytic limit value 1
+    and is never a minimizer; the left endpoint is evaluated exactly when
+    closed.  Of the refined point, the scan's best and that endpoint, the
+    first least value wins.  Returns the arrays
     (rho_star, value), aligned with qs.
     """
     qs = np.array(qs, dtype=float, ndmin=1)
     rho_star, value = np.empty(qs.size), np.empty(qs.size)
     for s in range(0, qs.size, _LANE_BLOCK):
         block = qs[s:s + _LANE_BLOCK]
-        a, b, scan_rho, scan_val, lo = (np.empty(block.size) for _ in range(5))
-        closed = np.empty(block.size, dtype=bool)
-        for j, q in enumerate(block.tolist()):
-            iv = kappa(q)
-            span = -iv.lo
-            start = iv.lo if iv.lo_closed else iv.lo + span / _SCAN_POINTS
-            grid = np.linspace(start, -1e-9, _SCAN_POINTS)
-            vals = f(q, grid)
-            i = int(np.argmin(vals))
-            a[j], b[j] = grid[max(0, i - 1)], grid[min(_SCAN_POINTS - 1, i + 1)]
-            scan_rho[j], scan_val[j] = grid[i], vals[i]
-            lo[j], closed[j] = iv.lo, iv.lo_closed
+        lo = _extremal(block)[1]
+        closed = block != 0.5
+        start = np.where(closed, lo, lo + -lo / _SCAN_POINTS)
+        # the right end is -1e-9 wherever kappa(q) holds it, else as far inside
+        # 0 as the open left end lies inside lo; -5e-324 keeps it below 0
+        stop = np.where(lo <= -1e-9, -1e-9, np.minimum(lo / _SCAN_POINTS, -5e-324))
+        # np.linspace's points for each row: i * step + start, and stop last.  One
+        # np.linspace call over the rows would give every row its zero-step
+        # arithmetic once any row's step underflowed.
+        grid = np.arange(_SCAN_POINTS) * ((stop - start) / (_SCAN_POINTS - 1))[:, None] \
+            + start[:, None]
+        grid[:, -1] = stop
+        vals = f(block[:, None], grid)
+        rows = np.arange(block.size)
+        i = np.argmin(vals, axis=1)
+        a = grid[rows, np.maximum(0, i - 1)]
+        b = grid[rows, np.minimum(_SCAN_POINTS - 1, i + 1)]
+        scan_rho, scan_val = grid[rows, i], vals[rows, i]
         rho, val = _golden_lanes(lambda k, r: f(block[k], r), a, b, _RHO_TOL)
         take = scan_val < val
         rho[take], val[take] = scan_rho[take], scan_val[take]

@@ -28,6 +28,12 @@ is then at most 11 eps at every rho (derived in tests/gaussian_oracles.py),
 and against 40-digit mpmath it measured at most 1.3e-16 at 1 - |rho|
 from 1e-2 down to 1e-12.
 
+On the diagonal x = y (h = k), which every ratio curve reads, the two T
+terms are the same operations on the same numbers, beta is 0, and
+(Phi(h) + Phi(h)) / 2 - (T + T) is Phi(h) - 2T to the bit, since doubling
+and halving are exact; so gamma_rho_vec takes one quantile, one owens_t
+and one erfc per point there and returns the general formula's bits.
+
 gamma_rho's edge cases are its Frechet bounds
 max(0, x + y - 1) <= gamma_rho <= min(x, y): the upper bound on the
 marginal edges x, y in {0, 1} and at rho = 1, the lower at rho = -1.
@@ -104,19 +110,27 @@ def _bvn(h, k, rho):
     """Pr[X <= h, Y <= k] for arrays of equal shape by Owen's T.
 
     Requires |rho| < 1 elementwise; h, k finite.  Elementwise, and
-    symmetric in (h, k) to the bit: the T terms enter as one sum.
+    symmetric in (h, k) to the bit: the T terms enter as one sum.  Passing
+    the same array as h and k takes the diagonal, at one owens_t and one
+    erfc per point, with the general formula's bits (see the module
+    docstring).
     """
     s = np.sqrt((1.0 - rho) * (1.0 + rho))
     # k - rho h as (k - h) + (1 - rho) h for rho >= 0 and (k + h) - (1 + rho) h below:
     # 1 -+ rho is exact near |rho| = 1, where rounding rho h would cost eps / s
     sgn = np.where(rho < 0.0, -1.0, 1.0)
     c = 1.0 - sgn * rho
-    num_h, num_k = (k - sgn * h) + sgn * c * h, (h - sgn * k) + sgn * c * k
+
+    def t(h, k):  # T(h, a_h); h = 0 takes the limit
+        num = (k - sgn * h) + sgn * c * h
+        return np.where(h == 0.0, 0.25 * np.sign(num), owens_t(h, num / (h * s)))
+
     with np.errstate(divide="ignore", invalid="ignore"):  # h or k = 0 takes the limit
-        th = np.where(h == 0.0, 0.25 * np.sign(num_h), owens_t(h, num_h / (h * s)))
-        tk = np.where(k == 0.0, 0.25 * np.sign(num_k), owens_t(k, num_k / (k * s)))
-    beta = np.where((h * k < 0.0) | ((h * k == 0.0) & (h + k < 0.0)), 0.5, 0.0)
-    val = 0.25 * (_erfc(h / -_SQRT2) + _erfc(k / -_SQRT2)) - (th + tk) - beta
+        if k is h:
+            val = 0.5 * _erfc(h / -_SQRT2) - 2.0 * t(h, h)
+        else:
+            beta = np.where((h * k < 0.0) | ((h * k == 0.0) & (h + k < 0.0)), 0.5, 0.0)
+            val = 0.25 * (_erfc(h / -_SQRT2) + _erfc(k / -_SQRT2)) - (t(h, k) + t(k, h)) - beta
     return np.where((h == 0.0) & (k == 0.0), 0.25 + _INV_2PI * np.arcsin(rho), val)
 
 
@@ -127,6 +141,8 @@ def gamma_rho_vec(rho, x, y):
     hi = min(x, y), and its edge cases are those bounds: hi on a marginal
     edge (x or y in {0, 1}) and at rho = 1, lo at rho = -1.  Everywhere
     else it is `_bvn` clipped to [lo, hi]; a NaN rho stays on that path.
+    When x and y hold equal values (after broadcasting), `_bvn` takes the
+    diagonal, one owens_t per point in place of two, with the same bits.
     Arguments are not validated.
     """
     rho, x, y = np.broadcast_arrays(
@@ -135,7 +151,8 @@ def gamma_rho_vec(rho, x, y):
     hi = np.minimum(x, y) + 0.0  # a level of -0.0 gives 0.0
     edge = (x <= 0.0) | (y <= 0.0) | (x >= 1.0) | (y >= 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # edge and |rho| = 1 lanes go unread
-        val = np.clip(_bvn(ndtri(x), ndtri(y), rho), lo, hi)
+        h = ndtri(x)
+        val = np.clip(_bvn(h, h if np.array_equal(x, y) else ndtri(y), rho), lo, hi)
     return np.where(edge | (rho >= 1.0), hi, np.where(rho <= -1.0, lo, val))
 
 

@@ -2,7 +2,10 @@
 
 `golden_section` is the one-bracket golden-section loop that
 `curves._golden_lanes` runs on lanes.  `minimize_over_rho` and
-`hardness_point` refine one q at a time with it, `full_conf_minima`
+`hardness_point` refine one q at a time with it; `minimize_over_rho_per_q`
+is `curves.minimize_over_rho` as it was before a block's scans became one
+call: one scan call per q, then the block's brackets as lanes.  Both
+scan the grid `scan_grid(q)`. `full_conf_minima`
 and `descend` run `full_conf_alpha_cut`'s line searches and coordinate
 descent one start at a time, `alpha_cut` and `alpha_2sat` are the float
 formulas through `gamma_rho`, and `with_mirrors` finds each mirror by a
@@ -42,12 +45,21 @@ def golden_section(curve_value, q_lo, q_hi, tol=1e-6):
     return m, curve_value(m)
 
 
-def minimize_over_rho(f, q):
-    """(rho_star, value) for one q; f takes a float or an array of rhos."""
+def scan_grid(q):
+    """np.linspace over kappa(q), from its left end (closed) or a 1/_SCAN_POINTS
+    share of its span inside it (open), to -1e-9 or, where kappa(q) does not
+    reach it, a 1/_SCAN_POINTS share of the span inside 0."""
     iv = curves.kappa(q)
     span = -iv.lo
     start = iv.lo if iv.lo_closed else iv.lo + span / curves._SCAN_POINTS
-    grid = np.linspace(start, -1e-9, curves._SCAN_POINTS)
+    stop = -1e-9 if iv.lo <= -1e-9 else min(iv.lo / curves._SCAN_POINTS, -5e-324)
+    return np.linspace(start, stop, curves._SCAN_POINTS)
+
+
+def minimize_over_rho(f, q):
+    """(rho_star, value) for one q; f takes a float or an array of rhos."""
+    iv = curves.kappa(q)
+    grid = scan_grid(q)
     vals = f(grid)
     i = int(np.argmin(vals))
     m, fm = golden_section(
@@ -57,6 +69,35 @@ def minimize_over_rho(f, q):
     if iv.lo_closed:
         candidates.append((float(f(iv.lo)), iv.lo))
     value, rho_star = min(candidates, key=lambda t: t[0])
+    return rho_star, value
+
+
+def minimize_over_rho_per_q(f, qs):
+    """(rho_star, value) arrays over qs: one scan call f(q, grid) per q, then
+    each block of _LANE_BLOCK q's refined as lanes."""
+    qs = np.array(qs, dtype=float, ndmin=1)
+    rho_star, value = np.empty(qs.size), np.empty(qs.size)
+    for s in range(0, qs.size, curves._LANE_BLOCK):
+        block = qs[s:s + curves._LANE_BLOCK]
+        a, b, scan_rho, scan_val, lo = (np.empty(block.size) for _ in range(5))
+        closed = np.empty(block.size, dtype=bool)
+        for j, q in enumerate(block.tolist()):
+            iv = curves.kappa(q)
+            grid = scan_grid(q)
+            vals = f(q, grid)
+            i = int(np.argmin(vals))
+            a[j], b[j] = grid[max(0, i - 1)], grid[min(curves._SCAN_POINTS - 1, i + 1)]
+            scan_rho[j], scan_val[j] = grid[i], vals[i]
+            lo[j], closed[j] = iv.lo, iv.lo_closed
+        rho, val = curves._golden_lanes(lambda k, r: f(block[k], r), a, b, curves._RHO_TOL)
+        take = scan_val < val
+        rho[take], val[take] = scan_rho[take], scan_val[take]
+        ends = np.flatnonzero(closed)
+        if ends.size:
+            end_val = f(block[ends], lo[ends])
+            take = end_val < val[ends]
+            rho[ends[take]], val[ends[take]] = lo[ends[take]], end_val[take]
+        rho_star[s:s + block.size], value[s:s + block.size] = rho, val
     return rho_star, value
 
 

@@ -2,6 +2,9 @@
 
 `gamma_rho_branches` is `gamma_rho_vec` as it was written before its
 edge cases became its Frechet bounds: one masked branch per case.
+`bvn_two_t` is Owen's general formula with both T terms and beta, as
+`gaussian._bvn` evaluates it off the diagonal; `gamma_rho_two_t` is
+`gamma_rho_vec` through it alone, before the diagonal took one T term.
 `bvn_quad` is the 96-node Gauss-Legendre rule that `gamma_rho` used
 before Owen's T: the correlation derivative of Pr[X <= h, Y <= k]
 integrated from rho = 0 under the substitution rho = sin(theta).
@@ -16,7 +19,7 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erfc, ndtri
+from scipy.special import erfc, ndtri, owens_t
 
 from ccmax.gaussian import _bvn
 
@@ -56,6 +59,32 @@ def gamma_rho_branches(rho, x, y):
         hi_b = np.minimum(x[interior], y[interior])
         out[interior] = np.clip(val, lo_b, hi_b)
     return out
+
+
+def bvn_two_t(h, k, rho):
+    """Pr[X <= h, Y <= k] by Owen's T for |rho| < 1, h, k finite: both T terms and beta."""
+    s = np.sqrt((1.0 - rho) * (1.0 + rho))
+    sgn = np.where(rho < 0.0, -1.0, 1.0)
+    c = 1.0 - sgn * rho
+    num_h, num_k = (k - sgn * h) + sgn * c * h, (h - sgn * k) + sgn * c * k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        th = np.where(h == 0.0, 0.25 * np.sign(num_h), owens_t(h, num_h / (h * s)))
+        tk = np.where(k == 0.0, 0.25 * np.sign(num_k), owens_t(k, num_k / (k * s)))
+    beta = np.where((h * k < 0.0) | ((h * k == 0.0) & (h + k < 0.0)), 0.5, 0.0)
+    val = 0.25 * (erfc(h / -math.sqrt(2.0)) + erfc(k / -math.sqrt(2.0))) - (th + tk) - beta
+    return np.where((h == 0.0) & (k == 0.0), 0.25 + (1.0 / (2.0 * math.pi)) * np.arcsin(rho), val)
+
+
+def gamma_rho_two_t(rho, x, y):
+    """`gamma_rho_vec` with every interior point through `bvn_two_t`."""
+    rho, x, y = np.broadcast_arrays(
+        np.asarray(rho, dtype=float), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    lo = np.maximum(0.0, x + y - 1.0)
+    hi = np.minimum(x, y) + 0.0
+    edge = (x <= 0.0) | (y <= 0.0) | (x >= 1.0) | (y >= 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = np.clip(bvn_two_t(ndtri(x), ndtri(y), rho), lo, hi)
+    return np.where(edge | (rho >= 1.0), hi, np.where(rho <= -1.0, lo, val))
 
 
 def bvn_quad(h, k, rho):

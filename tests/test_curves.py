@@ -33,6 +33,8 @@ from ccmax.gaussian import gamma_rho, gamma_rho_vec
 
 import curves_oracles as oracles
 
+EPS = float(np.finfo(float).eps)
+
 
 class TestKappa:
     def test_quarter(self):
@@ -440,6 +442,44 @@ class TestHardnessCurveOracle:
             [float(r).hex() for r, _ in single], [float(v).hex() for _, v in single]]
 
 
+SCAN_GRIDS = {
+    "one": [0.37],
+    "half": [0.5],  # kappa(1/2) is open at its left end
+    "eight": q_grid(0.3, 0.328),
+    "extreme": [1e-12, 1e-10, 2e-9, 0.5, 1 - 1e-10],  # kappa(q) short of -1e-9, and not
+    "mirrored": curves._with_mirrors([0.21, 0.33, 0.5, 0.61, 0.62, 0.9])[0],
+}
+
+
+class TestBatchedScan:
+    """A block's scans in one call against one scan call per q, compared with ==."""
+
+    @pytest.mark.parametrize("grid", SCAN_GRIDS.values(), ids=SCAN_GRIDS.keys())
+    @pytest.mark.parametrize("beta", [curves._beta_cut, curves._beta_vc], ids=["cut", "vc"])
+    def test_matches_per_q_scans(self, beta, grid):
+        got = minimize_over_rho(beta, grid)
+        want = oracles.minimize_over_rho_per_q(beta, grid)
+        assert [c.tolist() for c in got] == [c.tolist() for c in want]
+
+    def test_more_q_than_one_block(self):
+        grid = np.linspace(0.01, 0.99, curves._LANE_BLOCK + 9).tolist()
+        got = minimize_over_rho(curves._beta_vc, grid)
+        want = oracles.minimize_over_rho_per_q(curves._beta_vc, grid)
+        assert [c.tolist() for c in got] == [c.tolist() for c in want]
+
+    def test_one_call_per_block_scan(self):
+        sizes = []
+
+        def f(q, r):
+            sizes.append(np.broadcast(q, r).size)
+            return curves._beta_vc(q, r)
+
+        minimize_over_rho(f, np.linspace(0.01, 0.99, curves._LANE_BLOCK + 9).tolist())
+        block = curves._LANE_BLOCK * curves._SCAN_POINTS
+        assert max(sizes) == block and sizes.count(block) == 1
+        assert sizes.count(9 * curves._SCAN_POINTS) == 1
+
+
 def _mirror_grids():
     """Strictly increasing grids in (0, 1) with points within 1e-12 of
     each other and of mirrors 1 - q."""
@@ -630,6 +670,22 @@ class TestGoldenLanes:
 
 
 class TestHardnessDomainEdges:
+    @pytest.mark.parametrize("q", [1e-10, 1e-12, 1 - 1e-10])
+    @pytest.mark.parametrize("problem", ["cut", "vc"])
+    def test_rho_star_stays_in_kappa(self, problem, q):
+        # kappa(1e-10) = [-1.0000000001e-10, 0) does not reach -1e-9
+        (p,) = hardness_curve(problem, [q])
+        assert kappa(q).lo <= p.rho_star < 0.0
+        beta = beta_cut if problem == "cut" else beta_vc
+        assert float(beta(q, p.rho_star)) == p.ratio == hardness_value(problem, q)
+        # The infimum over kappa(q) is below 1, but the numerator cancels to O(q):
+        # it reads the level 1 - q rounded (off by eps/4 for q < 1/2, which moves
+        # G(x, x) by eps/2), each G to within `OWEN_ERROR_BOUND` = 11 eps, and cut's
+        # sum of two G rounds once more, so it errs by at most 23 eps over a
+        # denominator of at least 2q(1 - q) (cut) or q (vc).  16 eps / (q(1 - q))
+        # leaves room for the quantile's few ulps.
+        assert p.ratio <= 1.0 + 16.0 * EPS / (q * (1.0 - q))
+
     @pytest.mark.parametrize("flatten", [False, True])
     @pytest.mark.parametrize("problem", ["cut", "vc", "2sat"])
     def test_q_near_zero_and_one(self, problem, flatten):

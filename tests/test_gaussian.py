@@ -8,6 +8,7 @@ live so they stay independent of the implementation path.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -334,6 +335,28 @@ class TestGammaRho:
         got = gamma_rho_vec(rho, x, y)
         assert np.array_equal(got.view(np.uint64),
                               oracles.gamma_rho_branches(rho, x, y).view(np.uint64))
+
+    @settings(max_examples=300, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(-1.0, 1.0) | st.sampled_from(EDGE_RHOS + [math.nan]),
+                              st.floats(0.0, 1.0) | st.sampled_from(EDGE_LEVELS + [0.5]),
+                              st.floats(0.0, 1.0)),
+                    min_size=1, max_size=12))
+    def test_diagonal_matches_two_t_formula_bit_for_bit(self, triples):
+        # equal levels take one T term; the oracle takes both, and beta
+        rho, x, y = np.array(triples).T
+        cases = [
+            (rho[0], x[0], x[0]),                        # scalars
+            (rho, x, x.copy()),                          # equal values, two arrays
+            (rho[:, None], x[None, :], x),               # x and y broadcast differently
+            (rho, x[:1], np.full(rho.size, x[0])),       # one level against a full row
+            (rho[:, None], x[None, :], y[None, :]),      # off the diagonal
+        ]
+        for args in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got, want = gamma_rho_vec(*args), oracles.gamma_rho_two_t(*args)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("rho, x, y", list(GAMMA_HARD))
     def test_hard_points_against_mpmath(self, rho, x, y):
