@@ -16,6 +16,10 @@ collapse to 2q, which yields the closed approximation-ratio forms
 
 so alpha_cut(q) == beta_cut(q, -q/(1-q)) and alpha_2sat(q) ==
 beta_vc(q, -q/(1-q)) hold as identities; tests pin them to 1e-10.
+The numerators are computed through the exact identity
+G(1-q) = 1 - 2q + G(q), as 2q' - 2 G(q') (cut, q' = min(q, 1-q)),
+2q - G(q) (vc) and 2q' - G(q') (2sat): 1 - G(1-q) cancels to O(q) and
+reads the level 1 - q rounded, which left no digit near q = 0 and 1.
 
 Each beta and alpha formula is written once and takes a float or an
 array; the alpha formulas evaluate up to _LANE_BLOCK grid points per
@@ -133,14 +137,12 @@ def _check_rho_in_kappa(q: float, rho) -> None:
 
 
 def _beta_cut(q: float, rho):
-    q, rho = np.broadcast_arrays(q, rho)
-    z = np.stack([q, 1.0 - q])  # G(q) and G(1-q) in one call
-    g = gamma_rho_vec(rho, z, z)
-    return (1.0 - (g[0] + g[1])) / (2.0 * (q - q * q) * (1.0 - rho))
+    qq = np.minimum(q, 1.0 - q)
+    return (2.0 * qq - 2.0 * gamma_rho_vec(rho, qq, qq)) / (2.0 * (qq - qq * qq) * (1.0 - rho))
 
 
 def _beta_vc(q: float, rho):
-    return (1.0 - gamma_rho_vec(rho, 1.0 - q, 1.0 - q)) / (q * (1.0 + (1.0 - q) * (1.0 - rho)))
+    return (2.0 * q - gamma_rho_vec(rho, q, q)) / (q * (1.0 + (1.0 - q) * (1.0 - rho)))
 
 
 def beta_cut(q: float, rho):
@@ -233,7 +235,7 @@ def _alpha_cut(q):
 
 def _alpha_2sat(q):
     qq, rb = _extremal(q)
-    return (1.0 - gamma_rho_vec(rb, 1.0 - qq, 1.0 - qq)) / (2.0 * qq)
+    return (2.0 * qq - gamma_rho_vec(rb, qq, qq)) / (2.0 * qq)
 
 
 def alpha_cut(q: float) -> float:

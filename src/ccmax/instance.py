@@ -17,6 +17,10 @@ convention the plain clause "xi or xj" -- the coverage constraint -- is
 therefore (1, 1, -1), and (-1, -1, -1) is "not xi or not xj".  The four
 admissible payloads are the same four tuples either way.
 
+The objective's one encoding is `CCInstance.form`, which evaluation,
+flip gains, greedy seeding and `sdp.relax` all read; an assignment's
+value has the same bits whichever call or batch scores it.
+
 Instance file grammar (1-based variable indices; the shared line
 grammar is `read_lines`):
 
@@ -157,24 +161,41 @@ class CCInstance:
         return float(sum(c.weight for c in self.constraints))
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        """(i, j, w, c0, c1, c2, c3) with value = c0 + c1 xi + c2 xj + c3 xi xj."""
+    def form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """(p, q, c, offset): the objective offset + sum_t c[t] x_p[t] x_q[t]
+        with x_0 = 1, one term per distinct (p, q), p < q, in (p, q) order.
+
+        A constraint on (i, j) worth w (c0 + c1 x_i + c2 x_j + c3 x_i x_j)
+        puts w c1 on the term (0, i+1), w c2 on (0, j+1) and w c3 on
+        (i+1, j+1), and w c0 into the offset.  On a self-loop x_i x_j = 1:
+        w c3 joins the offset and w (c1 + c2) lands on (0, i+1).  Zero
+        terms are dropped; each term sums its parts, and the offset its
+        parts, in constraint order.
+        """
         m = len(self.constraints)
-        i = np.zeros(m, dtype=np.int64)
-        j = np.zeros(m, dtype=np.int64)
-        w = np.zeros(m)
-        c0 = np.zeros(m)
-        c1 = np.zeros(m)
-        c2 = np.zeros(m)
-        c3 = np.zeros(m)
-        for t, c in enumerate(self.constraints):
-            i[t], j[t], w[t] = c.i, c.j, c.weight
-            if isinstance(c.kind, Xor):
-                c0[t], c3[t] = 0.5, 0.5 * c.kind.parity
+        i, j = np.zeros((2, m), dtype=np.int64)
+        w, c0, c1, c2, c3 = np.zeros((5, m))
+        for t, con in enumerate(self.constraints):
+            i[t], j[t], w[t] = con.i, con.j, con.weight
+            if isinstance(con.kind, Xor):
+                c0[t], c3[t] = 0.5, 0.5 * con.kind.parity
             else:
-                p1, p2, p3 = c.kind.pattern
+                p1, p2, p3 = con.kind.pattern
                 c0[t], c1[t], c2[t], c3[t] = 0.75, 0.25 * p1, 0.25 * p2, 0.25 * p3
-        return i, j, w, c0, c1, c2, c3
+        size = self.n + 1
+        vi, vj = i + 1, j + 1
+        loop = vi == vj
+        pair = np.minimum(vi, vj) * size + np.maximum(vi, vj)
+        # the terms on (0, i), (0, j), (i, j) of each constraint, in that order
+        keys = np.stack([vi, vj, pair], axis=1).ravel()
+        coeffs = np.stack([w * np.where(loop, c1 + c2, c1), np.where(loop, 0.0, w * c2),
+                           np.where(loop, 0.0, w * c3)], axis=1).ravel()
+        keep = coeffs != 0.0
+        keys, slot = np.unique(keys[keep], return_inverse=True)
+        # bincount adds in input order: each term's parts in constraint order
+        c = np.bincount(slot, weights=coeffs[keep], minlength=keys.size)
+        offset = np.cumsum(w * (c0 + np.where(loop, c3, 0.0)))  # a sequential sum
+        return keys // size, keys % size, c, float(offset[-1]) if m else 0.0
 
 
 def as_assignment(values: Sequence[int] | np.ndarray, n: int | None = None) -> np.ndarray:
@@ -197,41 +218,32 @@ def is_feasible(inst: CCInstance, values: Sequence[int] | np.ndarray) -> bool:
 
 
 def evaluate(inst: CCInstance, values: Sequence[int] | np.ndarray) -> float:
-    """Weighted sum of constraint values; does not check cardinality.
-
-    This and `evaluate_many` sum the same terms in different orders, so
-    their values for one assignment can differ in the last bits: on 50
-    criterion-7-shaped instances (n=14, m=40) they differed on 2719 of
-    6000 random assignments, and `evaluate` of `brute_force_opt`'s
-    assignment differed from its returned value on 18 of 50, by at most
-    3.6e-15.  A solve report's `best_value` and `brute_force_optval` can
-    thus differ by an ulp for the same assignment.  `evaluate_many`'s
-    value for a row also depends on the batch it sits in (the BLAS
-    product's blocking): a row scored alone differed from the same row
-    in a batch of 200 on 1676 of 10000 draws.
-    """
-    a = as_assignment(values, inst.n)
-    i, j, w, c0, c1, c2, c3 = inst._arrays
-    xi = a[i].astype(float)
-    xj = a[j].astype(float)
-    return float(np.sum(w * (c0 + c1 * xi + c2 * xj + c3 * xi * xj)))
+    """Objective at one checked assignment, `evaluate_many`'s value for it;
+    does not check cardinality."""
+    return float(evaluate_many(inst, as_assignment(values, inst.n)[None])[0])
 
 
 def evaluate_many(inst: CCInstance, rows: np.ndarray) -> np.ndarray:
-    """Objective for a batch of assignments (rows of -1/+1), vectorized."""
-    i, j, w, c0, c1, c2, c3 = inst._arrays
-    xi = rows[:, i].astype(float)
-    xj = rows[:, j].astype(float)
-    return (w * c0).sum() + xi @ (w * c1) + xj @ (w * c2) + (xi * xj) @ (w * c3)
+    """Objective of each row of -1/+1 values, read off `inst.form`.
+
+    Every term c x_p x_q is exact, and each row sums its terms in
+    sequence, offset first (`np.cumsum`, never a product or a pairwise
+    sum), so a row's value is the same bits in any batch and alone.
+    """
+    p, q, c, offset = inst.form
+    x = np.hstack([np.ones((len(rows), 1)), rows])
+    terms = np.hstack([np.full((len(rows), 1), offset), c * x[:, p] * x[:, q]])
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def brute_force_opt(inst: CCInstance, batch: int = 16384) -> tuple[np.ndarray, float]:
     """Exact optimum over all C(n, k) feasible assignments.
 
-    Enumerates k-subsets in batches and evaluates them vectorized.
-    Ties resolve to the lexicographically smallest value vector
-    (-1 sorts before +1): the last maximum met, as combinations come in
-    strictly decreasing lexicographic order.  Guarded at n <= 28.
+    Enumerates k-subsets in batches of `batch` rows, which only bounds
+    memory: a row's value does not depend on its batch.  Among
+    bitwise-equal values the lexicographically smallest value vector
+    wins (-1 sorts before +1): the last maximum met, as combinations come
+    in strictly decreasing lexicographic order.  Guarded at n <= 28.
     """
     if inst.n > BRUTE_FORCE_MAX_VARS:
         raise SizeGuardError(
@@ -257,22 +269,15 @@ def brute_force_opt(inst: CCInstance, batch: int = 16384) -> tuple[np.ndarray, f
 def flip_gains(inst: CCInstance, values: Sequence[int] | np.ndarray) -> np.ndarray:
     """Gain evaluate(a with v flipped) - evaluate(a) for every variable v.
 
-    Flipping x_i changes a constraint's value by -2 (c1 xi + c3 xi xj)
-    and flipping x_j by -2 (c2 xj + c3 xi xj); on a self-loop xi xj = 1
-    stays put, so its c3 part is dropped.  The ends are scattered in the
-    order i_0, j_0, i_1, j_1, ..., so each variable's terms are summed
-    in constraint order.
+    Flipping x_v negates each term c x_p x_q of `inst.form` that has v
+    as an end, a change of -2 c x_p x_q; each variable sums these in
+    term order, first as p, then as q.
     """
     a = as_assignment(values, inst.n)
-    if not inst.constraints:
-        return np.zeros(inst.n)
-    i, j, w, _, c1, c2, c3 = inst._arrays
-    xi = a[i].astype(float)
-    xj = a[j].astype(float)
-    pair = np.where(i != j, c3 * xi * xj, 0.0)
-    terms = w[:, None] * np.stack([-2.0 * (c1 * xi + pair), -2.0 * (c2 * xj + pair)], axis=1)
-    return np.bincount(np.stack([i, j], axis=1).ravel(), weights=terms.ravel(),
-                       minlength=inst.n)
+    p, q, c, _ = inst.form
+    x = np.append(1, a)
+    t = -2.0 * c * x[p] * x[q]
+    return (np.bincount(p, t, inst.n + 1) + np.bincount(q, t, inst.n + 1))[1:]
 
 
 _GREEDY_PASSES = 40
@@ -281,26 +286,25 @@ _GREEDY_PASSES = 40
 def greedy_assignment(inst: CCInstance) -> np.ndarray:
     """Deterministic feasible assignment: linear seeding plus 1-swap ascent.
 
-    Each pass takes the first improving swap of a +1 variable u with a
+    The k variables with the largest linear coefficients, the (0, v)
+    terms of `inst.form`, start at +1, ties to the lower index.  Each
+    pass then takes the first improving swap of a +1 variable u with a
     -1 variable v, in the order (ascending u, ascending v); a swap gains
-    flip_gains[u] + flip_gains[v] - 4 Q[u, v], where Q sums w c3 over
-    the constraints joining u and v.  Stops after a pass without one,
-    or after 40 passes.
+    flip_gains[u] + flip_gains[v] - 4 Q[u, v], where Q[u, v] is the
+    form's coefficient on x_u x_v.  Stops after a pass without one, or
+    after 40 passes.
 
     Not optimal; used to seed the relaxation solver with a decent
     integral point when brute force is out of reach.
     """
-    i, j, w, _, c1, c2, c3 = inst._arrays
-    lin = np.zeros(inst.n)
-    np.add.at(lin, i, w * c1)
-    np.add.at(lin, j, w * c2)
-    order = np.lexsort((np.arange(inst.n), -lin))
+    p, q, c, _ = inst.form
+    Q = np.zeros((inst.n + 1, inst.n + 1))
+    Q[p, q] = c  # row 0 holds the linear terms
+    order = np.lexsort((np.arange(inst.n), -Q[0, 1:]))
     a = -np.ones(inst.n, dtype=np.int64)
     a[order[: inst.k]] = 1
 
-    Q = np.zeros((inst.n, inst.n))  # self-loops land on the diagonal, which no swap reads
-    np.add.at(Q, (i, j), w * c3)
-    Q += Q.T
+    Q = Q[1:, 1:] + Q[1:, 1:].T
     for _ in range(_GREEDY_PASSES):
         d = flip_gains(inst, a)
         ones = np.nonzero(a == 1)[0]
@@ -425,6 +429,12 @@ def random_instance(
     weighted: bool = True,
 ) -> CCInstance:
     """Seeded random instance (distinct endpoints, uniform kinds/weights)."""
+    if problem not in _PROBLEM_KINDS:
+        raise DomainError(f"unknown problem {problem!r}")
+    if m < 0:
+        raise DomainError(f"need m >= 0 constraints, got m={m}")
+    if m and n < 2:
+        raise DomainError(f"constraints need two distinct endpoints, got n={n}")
     rng = stream(seed)
     constraints = []
     kinds = sorted(_PROBLEM_KINDS[problem], key=repr)

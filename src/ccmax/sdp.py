@@ -25,8 +25,8 @@ restart 0 from an integral assignment (the caller's or the greedy one),
 so the attained value also dominates that assignment's objective.
 
 `SDPProblem` is the only form of the relaxation: coefficient arrays on
-Gram entries, which `relax` reads off the instance's own arrays, and
-the solver's constant operators, built on first use.  The solver holds
+Gram entries, which `relax` reads off `CCInstance.form`, and the
+solver's constant operators, built on first use.  The solver holds
 three dense (n+1)^2 arrays: `M_obj`, and in `dloss_dgram` the working M
 and the triangle scatter.  One iteration costs one Gram product
 G = V V^T of the candidate, from which `pieces` reads the objective,
@@ -171,46 +171,28 @@ class SolveOptions:
 
 
 def relax(inst: CCInstance) -> SDPProblem:
-    """Build the relaxation from the instance's coefficient arrays.
+    """Build the relaxation of `inst.form`: its term c x_p x_q becomes
+    c G[p, q], and every pair of distinct variables that a constraint
+    joins carries the four triangle inequalities.
 
-    A constraint worth w (c0 + c1 x_i + c2 x_j + c3 x_i x_j) puts w c1 on
-    G[0, i], w c2 on G[0, j] and w c3 on G[i, j], and w c0 into the
-    offset.  On a self-loop x_i x_j = 1: w c3 joins the offset and
-    w (c1 + c2) lands on G[0, i].  Zero terms are dropped; each Gram entry
-    sums its terms, and the offset its terms, in constraint order.
+    The pairs come from the constraints, not the form, which drops zero
+    terms: a pair whose constraints all weigh zero keeps its triangles.
     """
     dense = 5 * 8 * (inst.n + 1) ** 2
     if dense > MAX_DENSE_BYTES:
         raise SizeGuardError(f"relaxation refused: n={inst.n} needs 5 dense (n+1)^2 "
                              f"arrays, {dense} bytes (> {MAX_DENSE_BYTES})")
     size = inst.n + 1
-    i, j, w, c0, c1, c2, c3 = inst._arrays
-    vi, vj = i + 1, j + 1
-    loop = vi == vj
-    pair = np.minimum(vi, vj) * size + np.maximum(vi, vj)
-    # the terms on G[0, i], G[0, j], G[i, j] of each constraint, in that order
-    keys = np.stack([vi, vj, pair], axis=1).ravel()
-    coeffs = np.stack([w * np.where(loop, c1 + c2, c1), np.where(loop, 0.0, w * c2),
-                       np.where(loop, 0.0, w * c3)], axis=1).ravel()
-    keep = coeffs != 0.0
-    keys, slot = np.unique(keys[keep], return_inverse=True)
-    # bincount adds in input order: each entry's terms in constraint order
-    obj_c = np.bincount(slot, weights=coeffs[keep], minlength=keys.size)
-    offset = np.cumsum(w * (c0 + np.where(loop, c3, 0.0)))  # a sequential sum
-    pairs = np.unique(pair[~loop])
+    vi, vj = np.array([(con.i + 1, con.j + 1) for con in inst.constraints],
+                      dtype=np.int64).reshape(-1, 2).T
+    pairs = np.unique((np.minimum(vi, vj) * size + np.maximum(vi, vj))[vi != vj])
+    p, q, c, offset = inst.form
 
     m = max(1, len(inst.constraints))
     dim = min(inst.n + 1, max(3, math.ceil(math.sqrt(2 * m)) + 2))
-    return SDPProblem(
-        n=inst.n,
-        dim=dim,
-        obj_p=keys // size,
-        obj_q=keys % size,
-        obj_c=obj_c,
-        offset=float(offset[-1]) if offset.size else 0.0,
-        balance_target=inst.balance,
-        tri=np.stack([pairs // size, pairs % size], axis=1),
-    )
+    return SDPProblem(n=inst.n, dim=dim, obj_p=p, obj_q=q, obj_c=c, offset=offset,
+                      balance_target=inst.balance,
+                      tri=np.stack([pairs // size, pairs % size], axis=1))
 
 
 def _normalize_rows(V: np.ndarray) -> np.ndarray:

@@ -151,7 +151,7 @@ def alpha_cut(q):
 def alpha_2sat(q):
     rb = curves.extremal_rho(q)
     qq = min(q, 1.0 - q)
-    return (1.0 - gamma_rho(rb, 1.0 - qq, 1.0 - qq)) / (2.0 * qq)
+    return (2.0 * qq - gamma_rho(rb, qq, qq)) / (2.0 * qq)
 
 
 def with_mirrors(qs):

@@ -678,13 +678,32 @@ class TestHardnessDomainEdges:
         assert kappa(q).lo <= p.rho_star < 0.0
         beta = beta_cut if problem == "cut" else beta_vc
         assert float(beta(q, p.rho_star)) == p.ratio == hardness_value(problem, q)
-        # The infimum over kappa(q) is below 1, but the numerator cancels to O(q):
-        # it reads the level 1 - q rounded (off by eps/4 for q < 1/2, which moves
-        # G(x, x) by eps/2), each G to within `OWEN_ERROR_BOUND` = 11 eps, and cut's
-        # sum of two G rounds once more, so it errs by at most 23 eps over a
-        # denominator of at least 2q(1 - q) (cut) or q (vc).  16 eps / (q(1 - q))
-        # leaves room for the quantile's few ulps.
+        # The numerator 2q' - 2G(q') (cut, q' = min(q, 1 - q), exact) or 2q - G(q)
+        # (vc) reads its level exactly and each G to within `OWEN_ERROR_BOUND` =
+        # 11 eps, so it errs by at most 22 eps (cut) or 11 eps (vc), plus its own
+        # rounding, over a denominator of at least 2q(1 - q) (cut) or q (vc).
+        # 16 eps / (q(1 - q)) leaves room for the quantile's few ulps.
         assert p.ratio <= 1.0 + 16.0 * EPS / (q * (1.0 - q))
+
+    @pytest.mark.parametrize("q", [1e-10, 1e-12, 1 - 1e-10])
+    @pytest.mark.parametrize("problem", ["cut", "vc"])
+    def test_ratio_at_most_one(self, problem, q):
+        # the infimum lies about q below 1, so the numerator may lose no digit to
+        # cancellation
+        assert hardness_value(problem, q) <= 1.0
+
+    @pytest.mark.parametrize("q", [0.01, 0.2, 0.365, 0.5, 0.64, 0.9, 0.99])
+    def test_numerators_match_the_one_minus_g_forms(self, q):
+        # G(1 - q) = 1 - 2q + G(q) is exact, so the forms agree to rounding
+        rhos = np.linspace(kappa(q).lo + (q == 0.5) * 1e-6, -1e-3, 9)
+        g, g1 = gamma_rho_vec(rhos, q, q), gamma_rho_vec(rhos, 1 - q, 1 - q)
+        assert np.allclose(beta_cut(q, rhos), (1 - g - g1) / (2 * (q - q * q) * (1 - rhos)),
+                           rtol=0, atol=1e-12)
+        assert np.allclose(beta_vc(q, rhos), (1 - g1) / (q * (1 + (1 - q) * (1 - rhos))),
+                           rtol=0, atol=1e-12)
+        qq, rb = min(q, 1 - q), extremal_rho(q)
+        assert alpha_2sat(q) == pytest.approx(
+            (1 - gamma_rho(rb, 1 - qq, 1 - qq)) / (2 * qq), rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("flatten", [False, True])
     @pytest.mark.parametrize("problem", ["cut", "vc", "2sat"])

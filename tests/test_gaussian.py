@@ -324,7 +324,6 @@ class TestGammaRho:
         for r, x, y, v in zip(rhos, xs, ys, vec):
             assert gamma_rho(float(r), float(x), float(y)) == v
 
-    @pytest.mark.filterwarnings("error")  # edge lanes must not warn either
     @settings(max_examples=300, derandomize=True)
     @given(st.lists(st.tuples(st.floats(-1.0, 1.0) | st.sampled_from(EDGE_RHOS),
                               st.floats(0.0, 1.0) | st.sampled_from(EDGE_LEVELS),
@@ -332,9 +331,10 @@ class TestGammaRho:
                     min_size=1, max_size=12))
     def test_frechet_edges_match_branch_oracle_bit_for_bit(self, triples):
         rho, x, y = np.array(triples).T
-        got = gamma_rho_vec(rho, x, y)
-        assert np.array_equal(got.view(np.uint64),
-                              oracles.gamma_rho_branches(rho, x, y).view(np.uint64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # edge lanes must not warn either
+            got, want = gamma_rho_vec(rho, x, y), oracles.gamma_rho_branches(rho, x, y)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @settings(max_examples=300, derandomize=True)
     @given(st.lists(st.tuples(st.floats(-1.0, 1.0) | st.sampled_from(EDGE_RHOS + [math.nan]),

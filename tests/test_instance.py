@@ -8,6 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from format_oracles import agrees, parse_instance_oracle
+from instance_oracles import (
+    constraint_arrays,
+    criterion_7_instances,
+    evaluate_many_oracle,
+    evaluate_oracle,
+)
 from mutations import cut_short, decorated, one_token_replaced
 
 from ccmax.errors import CcmaxError, DomainError, FormatError, SizeGuardError
@@ -62,12 +68,10 @@ def self_loop_instance(problem: str, n: int = 6) -> CCInstance:
 
 def greedy_oracle(inst: CCInstance, passes: int = 40) -> np.ndarray:
     """Linear seeding plus 1-swap ascent that re-evaluates every candidate swap in full."""
-    i, j, w, c0, c1, c2, c3 = (
-        inst._arrays if inst.constraints else (None,) * 7)
+    i, j, w, _, c1, c2, _ = constraint_arrays(inst)
     lin = np.zeros(inst.n)
-    if inst.constraints:
-        np.add.at(lin, i, w * c1)
-        np.add.at(lin, j, w * c2)
+    np.add.at(lin, i, w * c1)
+    np.add.at(lin, j, w * c2)
     order = np.lexsort((np.arange(inst.n), -lin))
     a = -np.ones(inst.n, dtype=np.int64)
     a[order[: inst.k]] = 1
@@ -198,6 +202,65 @@ class TestEvaluate:
         batch = evaluate_many(inst, rows)
         for row, v in zip(rows, batch):
             assert evaluate(inst, row) == pytest.approx(float(v), abs=1e-12)
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@st.composite
+def scored_batches(draw) -> tuple[CCInstance, np.ndarray, int, int, int]:
+    """An instance, a batch of rows, one row r and a sub-batch [lo, hi) that holds it."""
+    inst = draw(random_instances(max_n=20) | any_instances())
+    rows = np.array(draw(st.lists(st.lists(st.sampled_from([-1, 1]), min_size=inst.n,
+                                           max_size=inst.n), min_size=1, max_size=40)))
+    r = draw(st.integers(0, len(rows) - 1))
+    lo = draw(st.integers(0, r))
+    return inst, rows, r, lo, draw(st.integers(r + 1, len(rows)))
+
+
+class TestObjectiveForm:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(scored_batches())
+    @example((self_loop_instance("2sat"), np.array([[1, -1, 1, 1, -1, -1]] * 3), 1, 1, 2))
+    @example((CCInstance(n=3, k=1, constraints=()), np.array([[1, -1, -1]]), 0, 0, 1))
+    def test_a_row_has_the_same_bits_in_any_batch(self, case):
+        inst, rows, r, lo, hi = case
+        alone = evaluate(inst, rows[r])
+        assert bits(evaluate_many(inst, rows)[r]) == bits(alone)
+        assert bits(evaluate_many(inst, rows[lo:hi])[r - lo]) == bits(alone)
+        assert bits(evaluate_many(inst, rows[r:r + 1])) == bits([alone])
+        scale = sum(c.weight for c in inst.constraints)
+        assert alone == pytest.approx(evaluate_oracle(inst, rows[r]), rel=0, abs=1e-12 * scale)
+
+    def test_matches_per_constraint_evaluators(self):
+        for inst in (self_loop_instance("2sat"), self_loop_instance("2lin"),
+                     random_instance(30, 12, 200, problem="2sat", seed=3)):
+            rows = np.random.default_rng(1).choice([-1, 1], size=(64, inst.n))
+            assert np.allclose(evaluate_many(inst, rows), evaluate_many_oracle(inst, rows),
+                               rtol=0, atol=1e-12)
+
+    def test_brute_force_value_is_evaluate_of_its_assignment(self):
+        # a row's bits do not depend on the batch that scores it
+        for inst in criterion_7_instances():
+            a, val = brute_force_opt(inst)
+            assert bits([val]) == bits([evaluate(inst, a)])
+
+    def test_exact_tie_goes_to_the_lexicographically_smaller_row(self):
+        # the two rows tie in exact arithmetic, and their sequential sums agree
+        inst = random_instance(14, 10, 40, "2sat", seed=117001)
+        a, val = brute_force_opt(inst)
+        assert "".join("+" if x == 1 else "-" for x in a) == "+-++-+-+-+++++"
+        assert val == evaluate(inst, [1 if ch == "+" else -1 for ch in "+-++-+-+++-+++"])
+
+    def test_self_loops_fold_into_the_offset(self):
+        inst = CCInstance(n=2, k=1, constraints=(Constraint(0, 0, 2.0, Or((1, 1, -1))),
+                                                 Constraint(0, 1, 0.0, Or((1, 1, -1)))),
+                          problem="2sat")
+        p, q, c, offset = inst.form
+        # (3 + x + x - x^2) / 4 at weight 2: offset 2 (3 - 1) / 4 = 1, and 2 (1 + 1) / 4 on
+        # (0, 1); the zero-weight constraint's terms are dropped
+        assert (p.tolist(), q.tolist(), c.tolist(), offset) == ([0], [1], [1.0], 1.0)
 
 
 class TestBruteForce:
@@ -355,6 +418,21 @@ def any_instances(draw) -> CCInstance:
         st.sampled_from(sorted(_PROBLEM_KINDS[problem], key=repr))), max_size=8))
     assume(not cons or sum(c.weight for c in cons) > 0.0)
     return CCInstance(n=n, k=draw(st.integers(0, n)), constraints=tuple(cons), problem=problem)
+
+
+class TestRandomInstance:
+    def test_rejects_negative_m(self):
+        with pytest.raises(DomainError, match="m >= 0"):
+            random_instance(3, 1, -1)
+
+    def test_rejects_constraints_without_two_distinct_endpoints(self):
+        with pytest.raises(DomainError, match="two distinct endpoints"):
+            random_instance(1, 0, 1)
+        assert random_instance(1, 0, 0).constraints == ()
+
+    def test_rejects_unknown_problem(self):
+        with pytest.raises(DomainError, match="unknown problem 'vc'"):
+            random_instance(3, 1, 2, "vc")
 
 
 class TestFileFormat:

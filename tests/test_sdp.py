@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from instance_oracles import criterion_7_instances, relax_arrays_oracle
 from sdp_oracles import (
     dloss_dgram_oracle,
     objective_from_vectors,
@@ -56,6 +57,12 @@ def any_instances(draw) -> CCInstance:
                                    st.sampled_from(KINDS[problem])), max_size=30))
     assume(not cons or sum(c.weight for c in cons) > 0.0)
     return CCInstance(n=n, k=draw(st.integers(0, n)), constraints=tuple(cons), problem=problem)
+
+
+def problem_bytes(p) -> tuple:
+    arrays = (p.obj_p, p.obj_q, p.obj_c, np.float64(p.offset), p.tri)
+    return (p.n, p.dim, p.balance_target,
+            [(a.dtype.str, a.shape, a.tobytes()) for a in arrays])
 
 
 def embed(a: np.ndarray, dim: int) -> np.ndarray:
@@ -130,6 +137,22 @@ class TestRelax:
         assert [c.hex() for c in got.obj_c.tolist()] == [c.hex() for _, _, c in want.objective]
         assert got.tri.tolist() == [list(pair) for pair in want.triangle_pairs]
         assert (got.n, got.dim, got.balance_target) == (want.n, want.dim, want.balance_target)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(any_instances())
+    def test_matches_constraint_arrays_builder_byte_for_byte(self, inst):
+        assert problem_bytes(relax(inst)) == problem_bytes(relax_arrays_oracle(inst))
+
+    def test_criterion_7_instances_byte_for_byte(self):
+        for inst in criterion_7_instances():
+            assert problem_bytes(relax(inst)) == problem_bytes(relax_arrays_oracle(inst))
+
+    def test_zero_weight_pair_keeps_its_triangles(self):
+        inst = CCInstance(n=3, k=1, constraints=(Constraint(0, 1, 1.0, Xor(-1)),
+                                                 Constraint(1, 2, 0.0, Xor(-1))), problem="cut")
+        p = relax(inst)
+        assert p.tri.tolist() == [[1, 2], [2, 3]]
+        assert (p.obj_p.tolist(), p.obj_q.tolist()) == ([1], [2])
 
     def test_self_loops_fold_into_offset(self):
         inst = CCInstance(n=2, k=1,
