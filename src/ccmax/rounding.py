@@ -16,6 +16,14 @@ clamped against floating point overshoot.  Exact cardinality is
 restored per round by greedy minimum-loss flips, and the best repaired
 assignment over a fixed number of rounds is reported.
 
+`round_best_of` computes a solution's constants once: the orthogonal
+parts w_i and their norms, the pinned rows, the normalised free rows
+and the thresholds.  Each round then takes one draw, one matrix-vector
+product, one comparison and `repair`.  The rounds are scored in blocks
+of `ROUND_BLOCK` rows, one `evaluate_many` call each, so a report holds
+one block of rows whatever the number of rounds; the earliest round
+with the maximum value wins.
+
 Gaussians come from the package quantile function applied to a
 counter-based uniform stream (`gaussian.stream(seed, round)`), which
 keeps every report bit-reproducible from its seed.
@@ -26,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +45,6 @@ from .instance import (
     CCInstance,
     as_assignment,
     cardinality,
-    evaluate,
     evaluate_many,
     flip_gains,
 )
@@ -47,8 +55,46 @@ _MU_DETERMINISTIC = 1.0 - 1e-9
 
 def gaussian_vector(rng: np.random.Generator, size: int) -> np.ndarray:
     """Standard normals via inverse-CDF of the uniform stream."""
-    u = np.clip(rng.random(size), 1e-16, 1.0 - 1e-16)
-    return std_normal_inv_vec(u)
+    return _normals(rng.random(size))
+
+
+def _normals(u: np.ndarray) -> np.ndarray:
+    """Standard normals from uniforms in [0, 1), elementwise, so a batch of
+    draws gives each draw's own bits."""
+    return std_normal_inv_vec(np.clip(u, 1e-16, 1.0 - 1e-16))
+
+
+class _Thresholds(NamedTuple):
+    """What a threshold rounding of one solution needs, computed once."""
+
+    pinned: np.ndarray  # int64: sign(mu_i) on pinned rows; free rows are overwritten
+    free: np.ndarray  # bool mask of the rows not pinned
+    directions: np.ndarray  # w_i / ||w_i|| of the free rows
+    thresholds: np.ndarray  # Phi^{-1}((1 - mu_i)/2) of the free rows
+
+
+def _thresholds(sol: SDPSolution) -> _Thresholds:
+    V = sol.vectors
+    n = V.shape[0] - 1
+    v0 = V[0]
+    mu = sol.mu
+    pinned = np.empty(n, dtype=np.int64)
+
+    W = V[1:] - mu[:, None] * v0[None, :]
+    norms = np.linalg.norm(W, axis=1)
+
+    deterministic = np.abs(mu) >= _MU_DETERMINISTIC
+    pinned[deterministic] = np.where(mu[deterministic] > 0, 1, -1)
+
+    free = ~deterministic
+    return _Thresholds(pinned, free, W[free] / norms[free, None],
+                       std_normal_inv_vec((1.0 - mu[free]) / 2.0))
+
+
+def _round(th: _Thresholds, g: np.ndarray) -> np.ndarray:
+    raw = th.pinned.copy()
+    raw[th.free] = np.where(th.directions.dot(g) >= th.thresholds, 1, -1)
+    return raw
 
 
 def round_once(sol: SDPSolution, rng: np.random.Generator) -> np.ndarray:
@@ -56,26 +102,7 @@ def round_once(sol: SDPSolution, rng: np.random.Generator) -> np.ndarray:
 
     Assumes unit rows, as `SDPSolution` documents: ||w_i||^2 = 1 - mu_i^2 > 0
     on every row not pinned to sign(mu_i) (|mu_i| < 1 - 1e-9)."""
-    V = sol.vectors
-    n = V.shape[0] - 1
-    v0 = V[0]
-    mu = sol.mu
-
-    g = gaussian_vector(rng, V.shape[1])
-    raw = np.empty(n, dtype=np.int64)
-
-    W = V[1:] - mu[:, None] * v0[None, :]
-    norms = np.linalg.norm(W, axis=1)
-
-    deterministic = np.abs(mu) >= _MU_DETERMINISTIC
-    raw[deterministic] = np.where(mu[deterministic] > 0, 1, -1)
-
-    free = ~deterministic
-    if np.any(free):
-        proj = (W[free] / norms[free, None]) @ g
-        thresholds = std_normal_inv_vec((1.0 - mu[free]) / 2.0)
-        raw[free] = np.where(proj >= thresholds, 1, -1)
-    return raw
+    return _round(_thresholds(sol), gaussian_vector(rng, sol.vectors.shape[1]))
 
 
 def expected_pair_product(mu1: float, mu2: float, rho: float) -> float:
@@ -149,23 +176,43 @@ class RoundingReport:
     repair_flips: tuple[int, ...]
 
 
+# Rounds repaired and then scored by one `evaluate_many` call: a report holds
+# one block of rows at a time, whatever the number of rounds.
+ROUND_BLOCK = 256
+
+
 def round_best_of(
     sol: SDPSolution, inst: CCInstance, rounds: int, seed: int = 0
 ) -> RoundingReport:
-    """Best feasible value over independent round+repair trials."""
+    """Best feasible value over independent round+repair trials.
+
+    Round t rounds with the Gaussian of `stream(seed, t)`, as `round_once`
+    does, then `repair`s to cardinality k.  The solution's directions and
+    thresholds are computed once, the normals of a block of `ROUND_BLOCK`
+    rounds in one call, and each block's repaired rows are scored by one
+    `evaluate_many` call, which gives each row the bits `evaluate` gives it.
+    The earliest round with the maximum value wins.
+    """
     if rounds < 1:
         raise DomainError(f"rounds must be >= 1, got {rounds}")
+    th = _thresholds(sol)
+    dim = sol.vectors.shape[1]
     best_val = -math.inf
     best_a: np.ndarray | None = None
     best_round = -1
     flips: list[int] = []
-    for t in range(rounds):
-        raw = round_once(sol, stream(seed, t))
-        repaired = repair(raw, inst, inst.k)
-        flips.append(abs(cardinality(raw) - inst.k))
-        val = evaluate(inst, repaired)
-        if val > best_val:
-            best_val, best_a, best_round = val, repaired, t
+    for start in range(0, rounds, ROUND_BLOCK):
+        block = range(start, min(start + ROUND_BLOCK, rounds))
+        normals = _normals(np.stack([stream(seed, t).random(dim) for t in block]))
+        rows = np.empty((len(block), inst.n), dtype=np.int64)
+        for row, g in zip(rows, normals):
+            raw = _round(th, g)
+            row[:] = repair(raw, inst, inst.k)
+            flips.append(abs(cardinality(raw) - inst.k))
+        vals = evaluate_many(inst, rows)
+        i = int(np.argmax(vals))  # the first maximum
+        if vals[i] > best_val:
+            best_val, best_a, best_round = float(vals[i]), rows[i].copy(), start + i
     assert best_a is not None
     return RoundingReport(
         best_assignment=best_a,

@@ -26,15 +26,22 @@ so the attained value also dominates that assignment's objective.
 
 `SDPProblem` is the only form of the relaxation: coefficient arrays on
 Gram entries, which `relax` reads off `CCInstance.form`, and the
-solver's constant operators, built on first use.  The solver holds
-three dense (n+1)^2 arrays: `M_obj`, and in `dloss_dgram` the working M
-and the triangle scatter.  One iteration costs one Gram product
-G = V V^T of the candidate, from which `pieces` reads the objective,
-balance residual and triangle forms by index; one np.bincount scatter
-of the triangle multipliers, added into M in place; and one product M V
-for the gradient.  The work per step is thus O(n^2 dim + #pairs) in a
-fixed, small number of numpy calls, and the solution reports the
-objective and residuals of its iterate's pieces.
+solver's constant operators, built on first use.  `pieces` and
+`dloss_dgram` are the one home of the loss terms and of dLoss/dG; each
+runs a kernel bound to buffers of its own.  `solve` binds the two
+kernels once per solve and keeps the loss terms in local floats, so a
+step allocates no dense array, dispatches no method and builds no
+tuple.  A step computes one Gram product G = V V^T of the candidate
+into the Gram buffer, reads the objective, balance residual and
+triangle forms off it by index, and costs about 30 numpy calls on
+arrays of (n+1) x dim or #pairs x 4.  The gradient assembles dLoss/dG
+in one working buffer (a copy of `M_obj`, the balance term, and one
+np.bincount scatter of the triangle multipliers) and takes one product
+M V.  It is computed only after an accepted step or a multiplier
+update: a rejected step leaves the iterate and the multipliers, and so
+the gradient, as they were.  The work per step is O(n^2 dim + #pairs),
+and the solution reports the objective and residuals of its iterate's
+pieces.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,9 +63,9 @@ from .instance import CCInstance, as_assignment, greedy_assignment
 STEP = 0.02
 TOL = 1e-6  # feasibility tolerance on the balance residual and each triangle violation
 
-# Bytes the dense (n+1)^2 float64 arrays may take.  The solver holds three at once
-# (M_obj, and in dloss_dgram the working M and the triangle scatter), greedy_assignment
-# two.  relax refuses 5 * 8 * (n+1)^2 > 1 GiB: n > 5180.
+# Bytes the dense (n+1)^2 float64 arrays may take.  A solve holds four at once
+# (M_obj, the Gram buffer, the working M buffer and the np.bincount triangle scatter),
+# greedy_assignment two, before the solve.  relax refuses 5 * 8 * (n+1)^2 > 1 GiB: n > 5180.
 MAX_DENSE_BYTES = 1 << 30
 
 # the four triangle forms as sign rows on (mu_i, mu_j, rho_ij)
@@ -132,25 +139,67 @@ class SDPProblem:
             [self.tri_idx.ravel(), np.stack([i * size, j * size, j * size + i], axis=1).ravel()])
 
     def pieces(self, V: np.ndarray) -> _Pieces:
-        g = (V @ V.T).ravel()
-        obj = self.offset + float(self.obj_c @ g[self.obj_idx])
-        target = self.balance_target
-        h = float(g[1:self.n + 1].sum()) - target if target is not None else 0.0
-        viol = np.maximum(0.0, -1.0 - g[self.tri_idx] @ _TRI_SIGNS.T)
-        return _Pieces(obj, h, float(viol.max(initial=0.0)), float((viol * viol).sum()), viol)
+        viol = np.empty((len(self.tri), 4))
+        return _Pieces(*self._pieces_kernel()(V, viol), viol)
 
     def dloss_dgram(self, lam: float, sigma: float, cur: _Pieces) -> np.ndarray:
         """Symmetric M with d(loss)/dV = 2 M V."""
-        M = self.M_obj.copy()
-        if self.balance_target is not None:
-            M[0, 1:] += (lam + sigma * cur.h) / 2
-            M[1:, 0] = M[0, 1:]  # M_obj is exactly symmetric: both halves add the same terms
-        # d/dG of 0.5*sigma*sum v^2 = -sigma * v * dform/dG
-        half = 0.5 * ((-sigma * cur.viol) @ _TRI_SIGNS).ravel()
+        return self._dloss_kernel()(lam, sigma, cur.h, cur.viol)
+
+    def _pieces_kernel(self) -> Callable[[np.ndarray, np.ndarray], tuple[float, float, float, float]]:
+        """`pieces` bound to its own Gram buffer: read(V, viol) writes the
+        triangle violations into `viol` and returns (obj, h, viol_max, viol_sq)."""
         size = self.n + 1
-        M += np.bincount(self.scatter_idx, weights=np.concatenate([half, half]),
-                         minlength=size * size).reshape(size, size)
-        return M
+        G = np.empty((size, size))
+        g = G.reshape(-1)
+        row0 = g[1:size]
+        obj_idx, obj_c, offset, tri_idx = self.obj_idx, self.obj_c, self.offset, self.tri_idx
+        target = self.balance_target
+        sq = np.empty((len(self.tri), 4))
+        signs_t = _TRI_SIGNS.T
+        multiply, add_reduce, max_reduce = np.multiply, np.add.reduce, np.maximum.reduce
+
+        def read(V: np.ndarray, viol: np.ndarray) -> tuple[float, float, float, float]:
+            V.dot(V.T, out=G)
+            obj = offset + float(obj_c.dot(g[obj_idx]))
+            h = float(add_reduce(row0)) - target if target is not None else 0.0
+            g[tri_idx].dot(signs_t, out=viol)
+            np.subtract(-1.0, viol, out=viol)
+            np.maximum(0.0, viol, out=viol)
+            multiply(viol, viol, out=sq)
+            return obj, h, float(max_reduce(viol, None, initial=0.0)), float(add_reduce(sq, None))
+
+        return read
+
+    def _dloss_kernel(self) -> Callable[[float, float, float, np.ndarray], np.ndarray]:
+        """`dloss_dgram` bound to one working buffer: assemble(lam, sigma, h, viol)
+        writes dLoss/dG into it and returns it."""
+        size = self.n + 1
+        M = np.empty((size, size))
+        m = M.reshape(-1)
+        row0, col0 = M[0, 1:], M[1:, 0]
+        M_obj, scatter_idx = self.M_obj, self.scatter_idx
+        balanced = self.balance_target is not None
+        pairs = len(self.tri)
+        scaled = np.empty((pairs, 4))
+        form = np.empty((pairs, 3))
+        halves = np.empty((2, pairs, 3))  # the weights of tri_idx, then of the transposes
+        weights = halves.reshape(-1)
+        add, multiply = np.add, np.multiply
+
+        def assemble(lam: float, sigma: float, h: float, viol: np.ndarray) -> np.ndarray:
+            np.copyto(M, M_obj)
+            if balanced:
+                add(row0, (lam + sigma * h) / 2, out=row0)
+                np.copyto(col0, row0)  # M_obj is exactly symmetric: both halves add the same terms
+            # d/dG of 0.5*sigma*sum v^2 = -sigma * v * dform/dG
+            multiply(viol, -sigma, out=scaled)
+            scaled.dot(_TRI_SIGNS, out=form)
+            multiply(form, 0.5, out=halves)
+            add(m, np.bincount(scatter_idx, weights=weights, minlength=size * size), out=m)
+            return M
+
+        return assemble
 
 
 @dataclass(frozen=True)
@@ -195,11 +244,16 @@ def relax(inst: CCInstance) -> SDPProblem:
                       tri=np.stack([pairs // size, pairs % size], axis=1))
 
 
-def _normalize_rows(V: np.ndarray) -> np.ndarray:
+def _normalize_rows(V: np.ndarray, sq: np.ndarray | None = None,
+                    norms: np.ndarray | None = None) -> np.ndarray:
+    """Divide each nonzero row of V by its norm, in place; returns V.
+
+    `sq` (V's shape) and `norms` (one column) are optional scratch buffers."""
     # np.linalg.norm(V, axis=1, keepdims=True) without its dispatch cost
-    norms = np.sqrt(np.add.reduce(V * V, axis=1, keepdims=True))
+    norms = np.add.reduce(np.multiply(V, V, out=sq), axis=1, keepdims=True, out=norms)
+    np.sqrt(norms, out=norms)
     norms[norms == 0.0] = 1.0
-    return V / norms
+    return np.divide(V, norms, out=V)
 
 
 def _integral_embedding(assignment: np.ndarray, dim: int) -> np.ndarray:
@@ -216,6 +270,16 @@ def _perturb_tangential(V: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     noise[0] = 0.0
     noise -= np.sum(noise * V, axis=1, keepdims=True) * V
     return _normalize_rows(V + noise)
+
+
+def _feasible(h: float, viol_max: float) -> bool:
+    return abs(h) <= TOL and viol_max <= TOL
+
+
+def _loss(obj: float, h: float, viol_sq: float, lam: float, sigma: float) -> float:
+    """The augmented Lagrangian the solver descends: -objective, the balance
+    multiplier and penalty, and the squared-hinge triangle penalty."""
+    return -obj + lam * h + 0.5 * sigma * h * h + 0.5 * sigma * viol_sq
 
 
 def solve(
@@ -246,7 +310,10 @@ def solve(
         integral_seed = as_assignment(integral_seed, problem.n)
 
     n, dim = problem.n, problem.dim
-    best: tuple[tuple[bool, float], int, np.ndarray, _Pieces, bool] | None = None
+    read, assemble = problem._pieces_kernel(), problem._dloss_kernel()
+    multiply, subtract, add_reduce = np.multiply, np.subtract, np.add.reduce
+    # (key, restart, V, obj, h, viol_max, converged) of the best offer so far
+    best: tuple[tuple[bool, float], int, np.ndarray, float, float, float, bool] | None = None
 
     for r in range(opts.restarts):
         rng = stream(opts.seed, r)
@@ -256,6 +323,10 @@ def solve(
         else:
             V_exact = None
             V = _normalize_rows(rng.standard_normal((n + 1, dim)))
+        # the iterate and the candidate swap buffers on every accepted step
+        V_new = np.empty_like(V)
+        viol, viol_new = np.empty((2, len(problem.tri), 4))
+        grad, scratch, norms = np.empty_like(V), np.empty_like(V), np.empty((n + 1, 1))
 
         lam = 0.0
         sigma = 10.0
@@ -265,44 +336,47 @@ def solve(
         last_resid = math.inf
         converged = False
         obj_window: deque[float] = deque(maxlen=200)
+        snap: tuple[np.ndarray, float, float, float] | None = None  # best feasible-to-tol iterate
 
-        def loss_of(pc: _Pieces) -> float:
-            return (-pc.obj + lam * pc.h + 0.5 * sigma * pc.h * pc.h
-                    + 0.5 * sigma * pc.viol_sq)
-
-        def feasible_to_tol(pc: _Pieces) -> bool:
-            return abs(pc.h) <= TOL and pc.viol_max <= TOL
-
-        snap: tuple[np.ndarray, _Pieces] | None = None  # best feasible-to-tol iterate
-
-        def consider(Vc: np.ndarray, pc: _Pieces) -> None:
+        def consider(Vc: np.ndarray, obj: float, h: float, viol_max: float) -> None:
             nonlocal snap
-            if feasible_to_tol(pc) and pc.obj > (snap[1].obj if snap else -math.inf):
-                snap = (Vc.copy(), pc)
+            if _feasible(h, viol_max) and obj > (snap[1] if snap else -math.inf):
+                snap = (Vc.copy(), obj, h, viol_max)
 
         if V_exact is not None:
-            consider(V_exact, problem.pieces(V_exact))
+            obj, h, viol_max, _ = read(V_exact, viol)
+            consider(V_exact, obj, h, viol_max)
 
-        cur = problem.pieces(V)
-        consider(V, cur)
+        obj, h, viol_max, viol_sq = read(V, viol)
+        consider(V, obj, h, viol_max)
+        loss = _loss(obj, h, viol_sq, lam, sigma)
+        stale = True  # grad is the projected gradient at (V, viol, lam, sigma) unless stale
         for it in range(opts.max_iters):
-            grad = 2.0 * (problem.dloss_dgram(lam, sigma, cur) @ V)
-            # project to the tangent of the unit spheres
-            grad -= (grad * V).sum(axis=1, keepdims=True) * V
+            if stale:
+                assemble(lam, sigma, h, viol).dot(V, out=grad)
+                multiply(grad, 2.0, out=grad)
+                # project to the tangent of the unit spheres
+                add_reduce(multiply(grad, V, out=scratch), axis=1, keepdims=True, out=norms)
+                subtract(grad, multiply(norms, V, out=scratch), out=grad)
+                stale = False
 
-            V_new = _normalize_rows(V - eta * grad)
-            new = problem.pieces(V_new)
-            if loss_of(new) <= loss_of(cur):
-                V, cur = V_new, new
+            subtract(V, multiply(grad, eta, out=scratch), out=V_new)
+            _normalize_rows(V_new, scratch, norms)
+            obj_n, h_n, viol_max_n, viol_sq_n = read(V_new, viol_new)
+            loss_n = _loss(obj_n, h_n, viol_sq_n, lam, sigma)
+            if loss_n <= loss:
+                V, V_new, viol, viol_new = V_new, V, viol_new, viol
+                obj, h, viol_max, viol_sq, loss = obj_n, h_n, viol_max_n, viol_sq_n, loss_n
+                stale = True
                 eta = min(eta * 1.05, 1.0)
                 if (it + 1) % 50 == 0:
-                    consider(V, cur)
+                    consider(V, obj, h, viol_max)
             else:
                 eta = max(eta * 0.5, 1e-12)
 
             if (it + 1) % 100 == 0:
-                lam += sigma * cur.h
-                resid = max(abs(cur.h), cur.viol_max)
+                lam += sigma * h
+                resid = max(abs(h), viol_max)
                 if resid > TOL and resid > 0.9 * last_resid:
                     stall += 100
                 else:
@@ -311,31 +385,32 @@ def solve(
                     sigma = min(sigma * 10, 1e8)
                     stall = 0
                 last_resid = resid
+                loss = _loss(obj, h, viol_sq, lam, sigma)
+                stale = True
 
-            obj_window.append(cur.obj)
-            if (it >= 200 and feasible_to_tol(cur)
-                    and max(obj_window) - min(obj_window) < 1e-9 * max(1.0, abs(cur.obj))):
+            obj_window.append(obj)
+            if (it >= 200 and _feasible(h, viol_max)
+                    and max(obj_window) - min(obj_window) < 1e-9 * max(1.0, abs(obj))):
                 converged = True
                 break
-            new_loss = loss_of(cur)
-            if abs(prev_loss - new_loss) < 1e-15 and eta <= 1e-11:
+            if abs(prev_loss - loss) < 1e-15 and eta <= 1e-11:
                 break
-            prev_loss = new_loss
+            prev_loss = loss
 
-        consider(V, cur)
-        V_rep, pc = snap or (V, cur)
-        key = (True, pc.obj) if snap else (False, -(abs(pc.h) + pc.viol_max))
+        consider(V, obj, h, viol_max)
+        offer = snap or (V, obj, h, viol_max)
+        key = (True, offer[1]) if snap else (False, -(abs(h) + viol_max))
         if best is None or key > best[0]:
-            best = (key, r, V_rep, pc, converged)
+            best = (key, r, *offer, converged)
 
-    _, r, V, pc, converged = best
+    _, r, V, obj, h, viol_max, converged = best
     return SDPSolution(
         vectors=V,
         mu=V[1:] @ V[0],
-        objective_value=pc.obj,
+        objective_value=obj,
         residuals={
-            "balance": abs(pc.h),
-            "triangle_max_violation": pc.viol_max,
+            "balance": abs(h),
+            "triangle_max_violation": viol_max,
             "unit_norm_max_deviation": float(np.max(np.abs(np.linalg.norm(V, axis=1) - 1.0))),
         },
         converged=converged,

@@ -8,9 +8,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from rounding_oracles import round_once_oracle
+from rounding_oracles import round_best_of_oracle, round_once_oracle
 from sdp_oracles import objective_from_vectors, residuals_from_vectors
 
+from ccmax import rounding
 from ccmax.errors import DomainError
 from ccmax.instance import (
     CCInstance,
@@ -25,6 +26,7 @@ from ccmax.instance import (
 from ccmax.rounding import (
     _MU_DETERMINISTIC,
     _REPAIR_EXACT_BUDGET,
+    ROUND_BLOCK,
     RoundingReport,
     expected_pair_product,
     gaussian_vector,
@@ -365,3 +367,74 @@ class TestRoundBestOf:
         sol = integral_solution(inst, np.array([1, -1, 1, -1]))
         with pytest.raises(DomainError):
             round_best_of(sol, inst, rounds=0)
+
+
+def report_bits(rep: RoundingReport) -> tuple:
+    """Every field of a report, floats as their bits."""
+    a = rep.best_assignment
+    return (a.dtype.str, a.tolist(), rep.best_value.hex(), rep.best_round, rep.rounds,
+            rep.pre_repair_gap_mean.hex(), rep.pre_repair_gap_max.hex(), rep.repair_flips)
+
+
+@st.composite
+def fractional_rounding_cases(draw) -> tuple[SDPSolution, CCInstance, int]:
+    """A solution with random unit rows, some pinned (|mu| >= 1 - 1e-9 or exactly
+    +-1), an instance with k in {0, 1, n - 1, n}, and a round count."""
+    n = draw(st.integers(2, 9))
+    mus = draw(st.lists(st.one_of(st.floats(-0.999, 0.999), st.sampled_from(EDGE_MUS),
+                                  st.sampled_from([-m for m in EDGE_MUS])),
+                        min_size=n, max_size=n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    sol = unit_row_solution(mus, draw(st.integers(2, 6)), np.random.default_rng(seed))
+    k = draw(st.sampled_from([0, 1, n - 1, n]))
+    inst = random_instance(n, k, draw(st.integers(0, 20)),
+                           problem=draw(st.sampled_from(["cut", "2sat"])), seed=seed)
+    return sol, inst, draw(st.sampled_from([1, 2, 7, ROUND_BLOCK + 3]))
+
+
+class TestRoundBestOfMatchesOracle:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(fractional_rounding_cases(), st.integers(0, 2**32 - 1))
+    def test_report_matches_the_round_by_round_loop_bit_for_bit(self, case, seed):
+        sol, inst, rounds = case
+        assert (report_bits(round_best_of(sol, inst, rounds, seed))
+                == report_bits(round_best_of_oracle(sol, inst, rounds, seed)))
+
+    def test_scores_one_block_of_rows_at_a_time(self, monkeypatch):
+        # a huge --rounds holds one block of repaired rows, not one row per round
+        monkeypatch.setattr(rounding, "ROUND_BLOCK", 3)
+        scored, in_repair = [], []
+        real_evaluate_many, real_repair = rounding.evaluate_many, rounding.repair
+
+        def evaluate_many(inst, rows):
+            if not in_repair:  # repair's exact path scores its own flip sets
+                scored.append(len(rows))
+            return real_evaluate_many(inst, rows)
+
+        def repair(raw, inst, target_k):
+            in_repair.append(True)
+            try:
+                return real_repair(raw, inst, target_k)
+            finally:
+                in_repair.pop()
+
+        monkeypatch.setattr(rounding, "evaluate_many", evaluate_many)
+        monkeypatch.setattr(rounding, "repair", repair)
+        rng = np.random.default_rng(8)
+        inst = random_instance(9, 4, 20, problem="2sat", seed=8)
+        sol = unit_row_solution(rng.uniform(-0.9, 0.9, 9).tolist(), 4, rng)
+        report = round_best_of(sol, inst, rounds=10, seed=8)
+        assert scored == [3, 3, 3, 1]
+        assert report_bits(report) == report_bits(round_best_of_oracle(sol, inst, 10, seed=8))
+
+    def test_earliest_of_equal_rounds_wins(self, monkeypatch):
+        # one cut edge with k = 1: every repaired round cuts it, so all ten
+        # rounds tie at 1.0, across four blocks
+        monkeypatch.setattr(rounding, "ROUND_BLOCK", 3)
+        inst = CCInstance(n=2, k=1, constraints=(Constraint(0, 1, 1.0, Xor(-1)),), problem="cut")
+        sol = unit_row_solution([0.0, 0.0], 3, np.random.default_rng(0))
+        repaired = [repair(round_once(sol, stream(4, t)), inst, 1).tolist() for t in range(10)]
+        assert len({tuple(a) for a in repaired}) == 2
+        report = round_best_of(sol, inst, rounds=10, seed=4)
+        assert (report.best_value, report.best_round) == (1.0, 0)
+        assert report.best_assignment.tolist() == repaired[0]

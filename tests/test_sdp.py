@@ -13,6 +13,7 @@ from sdp_oracles import (
     objective_from_vectors,
     relax_oracle,
     residuals_from_vectors,
+    solve_oracle,
 )
 
 from ccmax.curves import triangle_violation
@@ -286,6 +287,48 @@ class TestSolve:
             solve(p, SolveOptions(max_iters=-5))
         with pytest.raises(DomainError):
             solve(p, SolveOptions(restarts=0))
+
+
+def solution_bits(sol: SDPSolution) -> tuple:
+    """Every field of a solution, floats as their bits."""
+    floats = np.array([sol.objective_value, *sol.residuals.values()])
+    return (sol.vectors.shape, sol.vectors.view(np.uint64).tobytes(),
+            sol.mu.view(np.uint64).tobytes(), floats.view(np.uint64).tolist(),
+            list(sol.residuals), sol.converged, sol.restart_index)
+
+
+class TestSolveMatchesOracle:
+    """The solver with bound kernels, one working buffer and gradient reuse
+    against the loop that recomputes and reallocates everything each step."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.sampled_from(["cut", "2sat", "2lin", "kvc"]), st.integers(2, 10),
+           st.integers(0, 30), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
+           st.integers(1, 3), st.sampled_from([0, 1, 49, 50, 99, 100, 101, 199, 200, 201, 350]))
+    def test_matches_the_loop_oracle_bit_for_bit(self, problem, n, m, seed, balanced, seeded,
+                                                 restarts, max_iters):
+        # max_iters sits on and around the loop's 50 (snapshot), 100 (multipliers)
+        # and 200 (convergence window) boundaries
+        p = relax(random_instance(n, seed % (n + 1), m, problem=problem, seed=seed))
+        if not balanced:
+            p = replace(p, balance_target=None)
+        a = np.random.default_rng(seed).choice([-1, 1], n) if seeded else None
+        opts = SolveOptions(restarts, max_iters, seed)
+        assert solution_bits(solve(p, opts, a)) == solution_bits(solve_oracle(p, opts, a))
+
+    @pytest.mark.parametrize("j, balanced", [(2, True), (13, True), (6, False)])
+    def test_perfbench_solve_inputs_bit_for_bit(self, j, balanced):
+        # seed-17 solve-small items as `ccmax solve` runs them: item 2 returns
+        # restart 1, item 13 converges, item 6 without its balance equality
+        seed = 117_000 + j
+        inst = random_instance(14, (4, 10, 7, 5, 9, 6, 8)[j % 7], 40,
+                               problem=("cut", "2sat")[j % 2], seed=seed)
+        p = relax(inst)
+        if not balanced:
+            p = replace(p, balance_target=None)
+        a = brute_force_opt(inst)[0]
+        opts = SolveOptions(2, 2000, seed)
+        assert solution_bits(solve(p, opts, a)) == solution_bits(solve_oracle(p, opts, a))
 
 
 def dense_dloss_dgram(problem, V, lam, sigma):
