@@ -84,8 +84,10 @@ def _cmd_curves(args) -> int:
     qs = []
     q = args.q_min
     while q <= args.q_max + 1e-12:
-        qs.append(round(q, 12))
+        qs.append(float(f"{q:.12g}"))  # the precision _fmt writes
         q += args.step
+    if len(set(qs)) < len(qs):
+        raise DomainError(f"--step {args.step!r} is below the grid's 12 significant digits")
     if args.kind == "hardness":
         pts = curves.hardness_curve(args.problem, qs, flatten=args.flatten)
     else:

@@ -39,8 +39,8 @@ starts as lanes; `find_local_min_q` is one lane.
 
 `full_conf_alpha_cut` solves the underlying three-variable problem: the
 minimum over all configurations (mu1, mu2, rho) satisfying the four
-triangle inequalities of the per-constraint cut rounding ratio.  The
-diagonal restriction mu1 = mu2 = mu, rho = -1 + 2|mu| reproduces
+triangle inequalities of the cut ratio (1 - `pair_product_vec`) / (1 - rho).
+The diagonal restriction mu1 = mu2 = mu, rho = -1 + 2|mu| reproduces
 alpha_cut under q = (1 - mu)/2.
 
 Flattening (`hardness_curve(..., flatten=True)`) applies the padding
@@ -262,45 +262,67 @@ class Configuration:
         for name, v in (("mu1", self.mu1), ("mu2", self.mu2), ("rho", self.rho)):
             if not (math.isfinite(v) and -1.0 <= v <= 1.0):
                 raise DomainError(f"Configuration.{name} must be in [-1, 1], got {v!r}")
-        if triangle_violation(self.mu1, self.mu2, self.rho) > 1e-9:
-            raise DomainError(
-                f"({self.mu1}, {self.mu2}, {self.rho}) violates the triangle inequalities "
-                f"by {triangle_violation(self.mu1, self.mu2, self.rho):.3g}")
+        if (violation := triangle_violation(self.mu1, self.mu2, self.rho)) > 1e-9:
+            raise DomainError(f"({self.mu1}, {self.mu2}, {self.rho}) violates the triangle "
+                              f"inequalities by {violation:.3g}")
 
 
 def triangle_violation(mu1: float, mu2: float, rho: float) -> float:
-    """Largest deficit below -1 among the four triangle forms (0 if none)."""
-    worst = min(
-        mu1 + mu2 + rho,
-        mu1 - mu2 - rho,
-        -mu1 + mu2 - rho,
-        -mu1 - mu2 + rho,
-    )
-    return max(0.0, -1.0 - worst)
+    """Distance of rho outside its feasible segment `_rho_range(mu1, mu2)`
+    (0 inside): the largest deficit below -1 among the four triangle forms."""
+    lo, hi = _rho_range(mu1, mu2)
+    return max(0.0, lo - rho, rho - hi)
+
+
+# `check_pair`'s slack on c^2 - d2 (squares: sqrt(1 - mu^2) loses low bits near |mu| = 1).
+# With |c| <= 1 and u = 2^-53, fl(c)^2 errs by <= 5u and d2 by <= 3u; inputs one rounding
+# off a realizable point add (|d/drho| + |d/dmu1| + |d/dmu2|) u <= 10u: 18u + O(u^2) < 10 eps.
+_PAIR_SLACK = 10.0 * np.finfo(float).eps
+
+
+def _residual(mu1, mu2, rho):
+    """(c = rho - mu1 mu2, d2 = (1 - mu1^2)(1 - mu2^2), rb = c / sqrt(d2) clipped to [-1, 1]
+    (c where d2 = 0, unread)); unit vectors realize (mu1, mu2, rho) iff c^2 <= d2."""
+    c, d2 = rho - mu1 * mu2, (1.0 - mu1 * mu1) * (1.0 - mu2 * mu2)
+    # minimum/maximum, not np.clip: its wrapper costs ~2 us more a call on lane arrays
+    rb = np.minimum(np.maximum(c / np.sqrt(np.where(d2 <= 0.0, 1.0, d2)), -1.0), 1.0)
+    return c, d2, rb
+
+
+def pair_product_vec(mu1, mu2, rho):
+    """E[y1 y2] of threshold rounding, floats or arrays, unvalidated:
+    4 G_rb((1 - mu1)/2, (1 - mu2)/2) + mu1 + mu2 - 1 clipped to [-1, 1], or
+    mu1 mu2 for a pinned pair (d2 = 0), whose pinned variable factors out."""
+    _, d2, rb = _residual(mu1, mu2, rho)
+    e = 4.0 * gamma_rho_vec(rb, (1.0 - mu1) / 2.0, (1.0 - mu2) / 2.0) + mu1 + mu2 - 1.0
+    return np.where(d2 <= 0.0, mu1 * mu2, np.minimum(np.maximum(e, -1.0), 1.0))
+
+
+def check_pair(mu1: float, mu2: float, rho: float) -> tuple:
+    """`_residual` of a configuration inside [-1, 1]^3 that three unit vectors
+    realize, up to `_PAIR_SLACK`; any other raises."""
+    for name, v in (("mu1", mu1), ("mu2", mu2), ("rho", rho)):
+        if not (math.isfinite(v) and -1.0 <= v <= 1.0):
+            raise DomainError(f"{name} must be in [-1, 1], got {v!r}")
+    c, d2, rb = _residual(mu1, mu2, rho)
+    if c * c - d2 > _PAIR_SLACK:
+        raise DomainError(f"({mu1}, {mu2}, {rho}) is realized by no unit vectors")
+    return c, d2, rb
 
 
 def rho_bar(mu1: float, mu2: float, rho: float) -> float:
     """Residual correlation of the centered, normalized vector pair."""
-    d2 = (1.0 - mu1 * mu1) * (1.0 - mu2 * mu2)
+    _, d2, rb = check_pair(mu1, mu2, rho)
     if d2 <= 0.0:
         raise DomainError("rho_bar undefined at |mu| = 1")
-    return float(np.clip((rho - mu1 * mu2) / math.sqrt(d2), -1.0, 1.0))
+    return float(rb)
 
 
 def _conf_ratio_cut(mu1, mu2, rho):
-    """(2 - 4 G((1-mu1)/2, (1-mu2)/2) - mu1 - mu2) / (1 - rho), arrays ok."""
-    mu1 = np.asarray(mu1, dtype=float)
-    mu2 = np.asarray(mu2, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    d2 = (1.0 - mu1 * mu1) * (1.0 - mu2 * mu2)
-    safe = d2 > 1e-24
-    # at |mu_i| = 1 the marginal level (1 -+ mu_i)/2 hits 0 or 1 and the
-    # orthant probability short-circuits, so the rb placeholder is inert
-    rb = np.where(safe, np.clip((rho - mu1 * mu2) / np.sqrt(np.where(safe, d2, 1.0)), -1, 1), 0.0)
-    g = gamma_rho_vec(rb, (1.0 - mu1) / 2.0, (1.0 - mu2) / 2.0)
-    num = 2.0 - 4.0 * g - mu1 - mu2
+    """(1 - E[y1 y2]) / (1 - rho), arrays ok; 1 where 1 - rho < 1e-12."""
     den = 1.0 - rho
-    return np.where(den < 1e-12, 1.0, num / np.where(den < 1e-12, 1.0, den))
+    small = den < 1e-12
+    return np.where(small, 1.0, (1.0 - pair_product_vec(mu1, mu2, rho)) / np.where(small, 1.0, den))
 
 
 @dataclass(frozen=True)
@@ -327,14 +349,12 @@ def _full_conf_starts(grid_density: int) -> list[tuple[float, float, float]]:
     m1g, m2g = np.meshgrid(mus, mus, indexing="ij")
     lo, hi = _rho_range(m1g, m2g)
     ts = np.linspace(0.0, 1.0, grid_density)
-    M1 = np.repeat(m1g[..., None], grid_density, axis=-1)
-    M2 = np.repeat(m2g[..., None], grid_density, axis=-1)
-    R = lo[..., None] + (hi - lo)[..., None] * ts
-    vals = _conf_ratio_cut(M1.ravel(), M2.ravel(), R.ravel())
+    flat1 = np.repeat(m1g[..., None], grid_density, axis=-1).ravel()
+    flat2 = np.repeat(m2g[..., None], grid_density, axis=-1).ravel()
+    flatr = (lo[..., None] + (hi - lo)[..., None] * ts).ravel()
 
-    order = np.argsort(vals)
+    order = np.argsort(_conf_ratio_cut(flat1, flat2, flatr))
     starts: list[tuple[float, float, float]] = []
-    flat1, flat2, flatr = M1.ravel(), M2.ravel(), R.ravel()
     for idx in order:
         cand = (float(flat1[idx]), float(flat2[idx]), float(flatr[idx]))
         if all(max(abs(cand[0] - s[0]), abs(cand[1] - s[1]), abs(cand[2] - s[2])) > 0.15

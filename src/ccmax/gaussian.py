@@ -1,14 +1,13 @@
-"""Standard-normal utilities and the correlated bivariate orthant probability.
-
-Everything downstream (hardness curves, rounding expectations, gadget
-density thresholds) reduces to four scalar functions:
+"""Standard-normal utilities and the correlated bivariate orthant probability:
 
     std_normal_pdf(x)        phi(x) = exp(-x^2/2) / sqrt(2*pi)
     std_normal_cdf(x)        Phi(x) = int_{-inf}^x phi
     std_normal_inv(p)        Phi^{-1}(p)
     gamma_rho(rho, x, y)     Pr[X <= Phi^{-1}(x), Y <= Phi^{-1}(y)]
                              for (X, Y) standard bivariate normal with
-                             correlation rho.
+                             correlation rho,
+
+and `*_vec` forms; the package reads gamma_rho_vec, std_normal_inv_vec, gamma_rho, stream.
 
 Phi^{-1} is scipy.special.ndtri behind a domain check; it is accurate
 to a few ulps over all of (0, 1), tails included.

@@ -4,25 +4,21 @@ One shared Gaussian vector g is drawn per round; variable i rounds to
 
     y_i = +1  iff  <g, w_i / ||w_i||> >= t_i,   t_i = Phi^{-1}((1 - mu_i)/2),
 
-where w_i = v_i - mu_i v_0 is the component of v_i orthogonal to the
-anchor.  Then Pr[y_i = +1] = (1 + mu_i)/2, so E[y_i] = mu_i and the
-cardinality constraint holds in expectation.  The closed-form pair
-expectation is
+where mu_i = <v_0, v_i> and w_i = v_i - mu_i v_0 is the component of v_i
+orthogonal to the anchor.  Then Pr[y_i = +1] = (1 + mu_i)/2, so E[y_i] =
+mu_i and the cardinality constraint holds in expectation; E[y_1 y_2] is
+`curves.pair_product_vec`.  Exact cardinality is restored per round by
+greedy minimum-loss flips, and the best repaired assignment over a
+fixed number of rounds is reported.
 
-    E[y_1 y_2] = 4 * Gamma_rb((1-mu_1)/2, (1-mu_2)/2) + mu_1 + mu_2 - 1,
-    rb = (rho - mu_1 mu_2) / sqrt((1-mu_1^2)(1-mu_2^2)),
-
-clamped against floating point overshoot.  Exact cardinality is
-restored per round by greedy minimum-loss flips, and the best repaired
-assignment over a fixed number of rounds is reported.
-
-`round_best_of` computes a solution's constants once: the orthogonal
-parts w_i and their norms, the pinned rows, the normalised free rows
-and the thresholds.  Each round then takes one draw, one matrix-vector
-product, one comparison and `repair`.  The rounds are scored in blocks
-of `ROUND_BLOCK` rows, one `evaluate_many` call each, so a report holds
-one block of rows whatever the number of rounds; the earliest round
-with the maximum value wins.
+`_thresholds` computes a solution's constants once from its rows: mu,
+the orthogonal parts w_i and their norms, the pinned rows, the
+normalised free rows and the thresholds; `round_best_of` and
+`simulate_pair_products` round with them.  Each round then takes one
+draw, one matrix-vector product, one comparison and `repair`.  The
+rounds are scored in blocks of `ROUND_BLOCK` rows, one `evaluate_many`
+call each, so a report holds one block of rows whatever the number of
+rounds; the earliest round with the maximum value wins.
 
 Gaussians come from the package quantile function applied to a
 counter-based uniform stream (`gaussian.stream(seed, round)`), which
@@ -38,9 +34,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import rho_bar
+from .curves import check_pair, pair_product_vec, rho_bar
 from .errors import DomainError
-from .gaussian import gamma_rho, std_normal_inv_vec, stream
+# gamma_rho stays in this namespace: perfbench's probe test reads it here
+from .gaussian import gamma_rho, std_normal_inv_vec, stream  # noqa: F401
 from .instance import (
     CCInstance,
     as_assignment,
@@ -67,33 +64,28 @@ def _normals(u: np.ndarray) -> np.ndarray:
 class _Thresholds(NamedTuple):
     """What a threshold rounding of one solution needs, computed once."""
 
-    pinned: np.ndarray  # int64: sign(mu_i) on pinned rows; free rows are overwritten
+    pinned: np.ndarray  # sign(mu_i), +1 only above 0; _round overwrites the free rows
     free: np.ndarray  # bool mask of the rows not pinned
     directions: np.ndarray  # w_i / ||w_i|| of the free rows
     thresholds: np.ndarray  # Phi^{-1}((1 - mu_i)/2) of the free rows
 
 
-def _thresholds(sol: SDPSolution) -> _Thresholds:
-    V = sol.vectors
-    n = V.shape[0] - 1
+def _thresholds(V: np.ndarray) -> _Thresholds:
     v0 = V[0]
-    mu = sol.mu
-    pinned = np.empty(n, dtype=np.int64)
-
+    mu = V[1:] @ v0
     W = V[1:] - mu[:, None] * v0[None, :]
     norms = np.linalg.norm(W, axis=1)
-
-    deterministic = np.abs(mu) >= _MU_DETERMINISTIC
-    pinned[deterministic] = np.where(mu[deterministic] > 0, 1, -1)
-
-    free = ~deterministic
+    pinned = np.where(mu > 0, 1, -1)
+    free = np.abs(mu) < _MU_DETERMINISTIC
     return _Thresholds(pinned, free, W[free] / norms[free, None],
                        std_normal_inv_vec((1.0 - mu[free]) / 2.0))
 
 
 def _round(th: _Thresholds, g: np.ndarray) -> np.ndarray:
-    raw = th.pinned.copy()
-    raw[th.free] = np.where(th.directions.dot(g) >= th.thresholds, 1, -1)
+    """The rounding by one Gaussian g of shape (dim,), or one per row of g."""
+    raw = np.empty(g.shape[:-1] + th.pinned.shape, dtype=np.int64)
+    raw[...] = th.pinned
+    raw[..., th.free] = np.where(th.directions.dot(g.T).T >= th.thresholds, 1, -1)
     return raw
 
 
@@ -102,20 +94,14 @@ def round_once(sol: SDPSolution, rng: np.random.Generator) -> np.ndarray:
 
     Assumes unit rows, as `SDPSolution` documents: ||w_i||^2 = 1 - mu_i^2 > 0
     on every row not pinned to sign(mu_i) (|mu_i| < 1 - 1e-9)."""
-    return _round(_thresholds(sol), gaussian_vector(rng, sol.vectors.shape[1]))
+    return _round(_thresholds(sol.vectors), gaussian_vector(rng, sol.vectors.shape[1]))
 
 
 def expected_pair_product(mu1: float, mu2: float, rho: float) -> float:
-    """Closed-form E[y_1 y_2] of the threshold rounding."""
-    for name, v in (("mu1", mu1), ("mu2", mu2), ("rho", rho)):
-        if not (math.isfinite(v) and -1.0 <= v <= 1.0):
-            raise DomainError(f"{name} must be in [-1, 1], got {v!r}")
-    if abs(mu1) >= 1.0 or abs(mu2) >= 1.0:
-        # degenerate limit: a pinned variable factors out of the product
-        return mu1 * mu2
-    rb = rho_bar(mu1, mu2, rho)
-    val = 4.0 * gamma_rho(rb, (1.0 - mu1) / 2.0, (1.0 - mu2) / 2.0) + mu1 + mu2 - 1.0
-    return float(np.clip(val, -1.0, 1.0))
+    """Closed-form E[y_1 y_2] of the threshold rounding, `curves.pair_product_vec`
+    on a configuration that `curves.check_pair` accepts."""
+    check_pair(mu1, mu2, rho)
+    return float(pair_product_vec(mu1, mu2, rho))
 
 
 _REPAIR_EXACT_BUDGET = 20_000
@@ -195,7 +181,7 @@ def round_best_of(
     """
     if rounds < 1:
         raise DomainError(f"rounds must be >= 1, got {rounds}")
-    th = _thresholds(sol)
+    th = _thresholds(sol.vectors)
     dim = sol.vectors.shape[1]
     best_val = -math.inf
     best_a: np.ndarray | None = None
@@ -229,23 +215,17 @@ def round_best_of(
 def simulate_pair_products(
     mu1: float, mu2: float, rho: float, samples: int, seed: int = 0
 ) -> tuple[float, float, float]:
-    """Monte-Carlo (mean y1, mean y2, mean y1*y2) on a synthetic pair.
-
-    Builds the two-vector configuration explicitly and applies the
-    threshold rule to sampled Gaussians; independent of the closed-form
-    expectation, so it serves as its oracle.
-    """
-    for name, v in (("mu1", mu1), ("mu2", mu2)):
-        if not -1.0 < v < 1.0:
-            raise DomainError(f"{name} must be strictly inside (-1, 1), got {v!r}")
-    rb = rho_bar(mu1, mu2, rho)
-    # unit vectors for the centered parts: u1 = e1, u2 = rb e1 + sqrt(1-rb^2) e2
-    rng = stream(seed)
-    g = gaussian_vector(rng, 2 * samples).reshape(samples, 2)
-    p1 = g[:, 0]
-    p2 = rb * g[:, 0] + math.sqrt(max(0.0, 1.0 - rb * rb)) * g[:, 1]
-    t1 = float(std_normal_inv_vec(np.asarray([(1.0 - mu1) / 2.0]))[0])
-    t2 = float(std_normal_inv_vec(np.asarray([(1.0 - mu2) / 2.0]))[0])
-    y1 = np.where(p1 >= t1, 1.0, -1.0)
-    y2 = np.where(p2 >= t2, 1.0, -1.0)
-    return float(np.mean(y1)), float(np.mean(y2)), float(np.mean(y1 * y2))
+    """Monte-Carlo (mean y1, mean y2, mean y1*y2) of the package's rounding
+    (`_thresholds`, `_round`) of v_0 = e_0 and v_i = mu_i e_0 + sqrt(1 - mu_i^2) u_i,
+    u_1 = e_1, u_2 = rb e_1 + sqrt(1 - rb^2) e_2; independent of the closed form,
+    so it serves as its oracle.  Sample s reads normals 2s, 2s + 1 of `stream(seed)`."""
+    rb = rho_bar(mu1, mu2, rho)  # refuses |mu| = 1
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
+    s1, s2 = math.sqrt(1.0 - mu1 * mu1), math.sqrt(1.0 - mu2 * mu2)
+    V = np.array([[1.0, 0.0, 0.0], [mu1, s1, 0.0],
+                  [mu2, s2 * rb, s2 * math.sqrt(max(0.0, 1.0 - rb * rb))]])
+    g = np.zeros((samples, 3))  # no direction reads the e_0 coordinate
+    g[:, 1:] = gaussian_vector(stream(seed), 2 * samples).reshape(samples, 2)
+    y = _round(_thresholds(V), g)
+    return float(np.mean(y[:, 0])), float(np.mean(y[:, 1])), float(np.mean(y[:, 0] * y[:, 1]))

@@ -20,7 +20,7 @@ restored after every step.  It returns the best iterate over restarts
 whose balance residual and triangle violations are within `TOL`; the
 attained value is a lower bound on the true relaxation optimum, not a
 certificate.  The solution carries the vectors V: its Gram matrix is
-V V^T, and `mu` is its row 0.  `solve_instance` always seeds
+V V^T, and rounding reads mu = V[1:] v_0 off V.  `solve_instance` always seeds
 restart 0 from an integral assignment (the caller's or the greedy one),
 so the attained value also dominates that assignment's objective.
 
@@ -205,7 +205,6 @@ class SDPProblem:
 @dataclass(frozen=True)
 class SDPSolution:
     vectors: np.ndarray  # (n+1, dim), rows unit norm
-    mu: np.ndarray  # (n,), mu[i] = <v_0, v_{i+1}>
     objective_value: float
     residuals: dict[str, float]
     converged: bool
@@ -406,7 +405,6 @@ def solve(
     _, r, V, obj, h, viol_max, converged = best
     return SDPSolution(
         vectors=V,
-        mu=V[1:] @ V[0],
         objective_value=obj,
         residuals={
             "balance": abs(h),

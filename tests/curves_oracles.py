@@ -12,6 +12,11 @@ formulas through `gamma_rho`, and `with_mirrors` finds each mirror by a
 linear scan.  `hardness_curve` is the earlier two-path curve: a separate 2sat
 routine that evaluates every grid q twice and joins grid and mirrors by
 position, reading every point through `hardness_point`.
+`conf_ratio_cut` and `triangle_violation` are the per-constraint cut
+ratio and the triangle deficit as they were before the pair law and the
+feasible segment each got one home: the ratio as
+(2 - 4 G - mu1 - mu2) / (1 - rho), with its own residual correlation, set
+to 0 where d2 <= 1e-24; the deficit as the least of the four forms.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from ccmax import curves
 from ccmax.curves import UNCONSTRAINED_2SAT_LEVEL, CurvePoint
-from ccmax.gaussian import gamma_rho
+from ccmax.gaussian import gamma_rho, gamma_rho_vec
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -222,3 +227,26 @@ def _curve_2sat(qs, flatten):
         clipped = clamped < v - 1e-15
         out.append(CurvePoint(q, float(clamped), None if clipped else r, clipped))
     return out
+
+
+def conf_ratio_cut(mu1, mu2, rho):
+    mu1 = np.asarray(mu1, dtype=float)
+    mu2 = np.asarray(mu2, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    d2 = (1.0 - mu1 * mu1) * (1.0 - mu2 * mu2)
+    safe = d2 > 1e-24
+    rb = np.where(safe, np.clip((rho - mu1 * mu2) / np.sqrt(np.where(safe, d2, 1.0)), -1, 1), 0.0)
+    g = gamma_rho_vec(rb, (1.0 - mu1) / 2.0, (1.0 - mu2) / 2.0)
+    num = 2.0 - 4.0 * g - mu1 - mu2
+    den = 1.0 - rho
+    return np.where(den < 1e-12, 1.0, num / np.where(den < 1e-12, 1.0, den))
+
+
+def triangle_violation(mu1, mu2, rho):
+    worst = min(
+        mu1 + mu2 + rho,
+        mu1 - mu2 - rho,
+        -mu1 + mu2 - rho,
+        -mu1 - mu2 + rho,
+    )
+    return max(0.0, -1.0 - worst)

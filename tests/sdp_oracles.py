@@ -247,7 +247,6 @@ def solve_oracle(
     _, r, V, pc, converged = best
     return SDPSolution(
         vectors=V,
-        mu=V[1:] @ V[0],
         objective_value=pc.obj,
         residuals={
             "balance": abs(pc.h),

@@ -121,6 +121,21 @@ class TestCurves:
         assert "too small to move q" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_keeps_q_below_1e_12_at_twelve_significant_digits(self, tmp_path, capsys):
+        # rounding q to 12 decimal places made 1e-13 a q of 0.0
+        out = tmp_path / "x.csv"
+        assert main(["curves", "--problem", "cut", "--kind", "hardness", "--q-min", "1e-13",
+                     "--q-max", "1e-13", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[2:] == ["1e-13,1,-1e-13,0"]
+
+    def test_rejects_step_below_the_grid_precision(self, tmp_path, capsys):
+        # a step that moves q but not its 12 significant digits collapses the grid
+        out = tmp_path / "x.csv"
+        assert main(["curves", "--problem", "cut", "--kind", "hardness", "--q-min", "0.5",
+                     "--q-max", "0.5", "--step", "1e-14", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --step 1e-14 is below")
+        assert not out.exists()
+
     def test_refuses_grid_over_point_guard(self, tmp_path, capsys, monkeypatch):
         built = []
         monkeypatch.setattr("ccmax.curves.approx_curve", lambda *a, **k: built.append(a))

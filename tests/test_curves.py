@@ -224,6 +224,59 @@ class TestConfiguration:
         with pytest.raises(DomainError):
             rho_bar(1.0, 0.0, 0.0)
 
+    def test_rho_bar_rejects_configurations_no_unit_vectors_realize(self):
+        # (rho - mu1 mu2) / sqrt(d2) = 1.53 was clipped to 1
+        with pytest.raises(DomainError, match="realized by no unit vectors"):
+            rho_bar(0.5, -0.5, 0.9)
+
+
+# mu's of the pair-law properties: |mu| = 1 and within 1e-12 of it
+PAIR_MUS = (st.floats(-1.0, 1.0)
+            | st.sampled_from([1.0, -1.0, 1.0 - 1e-16, -1.0 + 1e-16])
+            | st.floats(0.0, 1e-12).map(lambda d: 1.0 - d)
+            | st.floats(0.0, 1e-12).map(lambda d: d - 1.0))
+
+
+class TestPairLawMatchesOracle:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(PAIR_MUS, PAIR_MUS,
+                              st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+                    min_size=1, max_size=40))
+    def test_conf_ratio_cut_within_the_numerators_rounding(self, rows):
+        # Both numerators compute 2 - 4 G - mu1 - mu2 from the same G (the same rho_bar
+        # where d2 > 1e-24; mu1 mu2 and the Frechet edge value where d2 = 0): the oracle
+        # in three roundings of sizes below 4, 2 and 4 (<= 6u, u = eps/2), the new one in
+        # four, 4G + mu1 <= 2 - mu1, then <= 2, <= 1 and 1 - E <= 2 (<= 7u).  Dividing by
+        # the same 1 - rho adds a rounding of each quotient.  Where 0 < d2 <= 1e-24 the
+        # oracle read G at rho_bar = 0: both G's lie in the same Frechet interval.
+        m1, m2, t = (np.array(c) for c in zip(*rows))
+        lo, hi = curves._rho_range(m1, m2)
+        rho = np.clip(lo * (1.0 - t) + hi * t, -1.0, 1.0)
+        got, want = curves._conf_ratio_cut(m1, m2, rho), oracles.conf_ratio_cut(m1, m2, rho)
+        x, y = (1.0 - m1) / 2.0, (1.0 - m2) / 2.0
+        d2 = (1.0 - m1 * m1) * (1.0 - m2 * m2)
+        frechet = np.where((d2 > 0.0) & (d2 <= 1e-24),
+                           4.0 * np.minimum(np.minimum(x, y), np.minimum(1.0 - x, 1.0 - y)), 0.0)
+        live = 1.0 - rho >= 1e-12  # both rules give 1.0 elsewhere
+        bound = ((6.5 * EPS + frechet) / np.where(live, 1.0 - rho, 1.0)
+                 + 0.5 * EPS * (np.abs(got) + np.abs(want)))
+        assert np.all(np.abs(got - want) <= np.where(live, bound, 0.0))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(PAIR_MUS, PAIR_MUS, st.floats(-1.0, 1.0))
+    def test_triangle_violation_zero_inside_and_near_the_oracle_outside(self, m1, m2, rho):
+        # outside, each side rounds three sums: the oracle's |.| < 2, 3, 2 (<= 7u), the
+        # segment's |mu1 +- mu2| < 2, then -1 +- that and lo - rho or rho - hi (<= 5u)
+        lo, hi = curves._rho_range(m1, m2)
+        got = triangle_violation(m1, m2, rho)
+        if lo <= rho <= hi:
+            assert got == 0.0
+        else:
+            assert abs(got - oracles.triangle_violation(m1, m2, rho)) <= 6.0 * EPS
+        for end in (lo, hi):
+            if -1.0 <= end <= 1.0 and lo <= hi:
+                assert triangle_violation(m1, m2, end) == 0.0
+
 
 @pytest.fixture(scope="module")
 def full_conf_result():

@@ -8,10 +8,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from rounding_oracles import round_best_of_oracle, round_once_oracle
+from rounding_oracles import (
+    expected_pair_product_oracle,
+    round_best_of_oracle,
+    round_once_oracle,
+    simulate_pair_products_oracle,
+)
 from sdp_oracles import objective_from_vectors, residuals_from_vectors
 
-from ccmax import rounding
+from ccmax import curves, rounding
 from ccmax.errors import DomainError
 from ccmax.instance import (
     CCInstance,
@@ -37,6 +42,7 @@ from ccmax.rounding import (
     stream,
 )
 from ccmax.sdp import SDPSolution, SolveOptions, relax, solve_instance
+from ccmax.verify import draw_pair_configs
 
 
 def integral_solution(inst: CCInstance, a: np.ndarray, dim: int = 3) -> SDPSolution:
@@ -45,14 +51,15 @@ def integral_solution(inst: CCInstance, a: np.ndarray, dim: int = 3) -> SDPSolut
     V[1:, 0] = a
     p = relax(inst)
     return SDPSolution(
-        vectors=V, mu=V[1:] @ V[0],
+        vectors=V,
         objective_value=objective_from_vectors(p, V),
         residuals=residuals_from_vectors(p, V), converged=True, restart_index=0)
 
 
 def unit_row_solution(mus: list[float], dim: int, rng: np.random.Generator) -> SDPSolution:
     """Unit rows v_i = mu_i v_0 + sqrt(1 - mu_i^2) u_i, u_i a random unit vector
-    orthogonal to v_0; mu is read back from the normalized rows, as `sdp.solve` does."""
+    orthogonal to v_0; rounding reads mu back from the normalized rows, as it does
+    from `sdp.solve`'s."""
     v0 = rng.standard_normal(dim)
     v0 /= np.linalg.norm(v0)
     U = rng.standard_normal((len(mus), dim))
@@ -61,8 +68,8 @@ def unit_row_solution(mus: list[float], dim: int, rng: np.random.Generator) -> S
     m = np.array(mus)[:, None]
     V = np.vstack([v0, m * v0 + np.sqrt(1.0 - m * m) * U])
     V /= np.linalg.norm(V, axis=1, keepdims=True)
-    return SDPSolution(vectors=V, mu=V[1:] @ V[0], objective_value=0.0,
-                       residuals={}, converged=True, restart_index=0)
+    return SDPSolution(vectors=V, objective_value=0.0, residuals={}, converged=True,
+                       restart_index=0)
 
 
 # pinned rows, and |mu| just above and just below the pinning level 1 - 1e-9
@@ -164,8 +171,8 @@ class TestRoundOnce:
         V = np.zeros((n + 1, 3))
         V[0, 0] = 1.0
         V[1:, 1] = 1.0
-        sol = SDPSolution(vectors=V, mu=V[1:] @ V[0], objective_value=0.0,
-                          residuals={}, converged=True, restart_index=0)
+        sol = SDPSolution(vectors=V, objective_value=0.0, residuals={}, converged=True,
+                          restart_index=0)
         seen = set()
         for t in range(40):
             raw = round_once(sol, stream(2, t))
@@ -182,8 +189,8 @@ class TestRoundOnce:
         for i, m in enumerate(mus):
             V[i + 1, 0] = m
             V[i + 1, 1 + i] = math.sqrt(1 - m * m)
-        sol = SDPSolution(vectors=V, mu=V[1:] @ V[0], objective_value=0.0,
-                          residuals={}, converged=True, restart_index=0)
+        sol = SDPSolution(vectors=V, objective_value=0.0, residuals={}, converged=True,
+                          restart_index=0)
         draws = 40_000
         acc = np.zeros(n)
         for t in range(draws):
@@ -212,6 +219,7 @@ class TestExpectedPairProduct:
 
     def test_identical_vectors(self):
         assert expected_pair_product(0.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert expected_pair_product(0.0, 0.0, -1.0) == pytest.approx(-1.0, abs=1e-12)
 
     def test_against_simulation_oracle(self):
         m1, m2, rho = 0.3, -0.2, -0.4
@@ -231,6 +239,67 @@ class TestExpectedPairProduct:
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             expected_pair_product(1.5, 0.0, 0.0)
+
+    @pytest.mark.parametrize("mu1, mu2, rho", [(0.5, -0.5, 0.9), (1.0, 0.4, 0.5)])
+    def test_rejects_configurations_no_unit_vectors_realize(self, mu1, mu2, rho):
+        # |rho - mu1 mu2| = 1.15 > 0.75 = sqrt(d2): rho_bar was 1.53, silently clipped to 1;
+        # a pinned v_1 = v_0 forces rho = mu2
+        with pytest.raises(DomainError, match="realized by no unit vectors"):
+            expected_pair_product(mu1, mu2, rho)
+
+    def test_simulation_rejects_configurations_no_unit_vectors_realize(self):
+        # it returned 0.00078 for the pair product here
+        with pytest.raises(DomainError, match="realized by no unit vectors"):
+            simulate_pair_products(0.5, -0.5, 0.9, 100)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_simulation_rejects_fewer_than_one_sample(self, samples):
+        with pytest.raises(DomainError, match="samples must be >= 1"):
+            simulate_pair_products(0.3, -0.2, -0.4, samples)
+
+    @pytest.mark.parametrize("seed", [0, 17, 29, 77])
+    def test_accepts_every_drawn_configuration(self, seed):
+        # the triangle tetrahedron lies inside the realizable set
+        for m1, m2, rho in draw_pair_configs(stream(seed, 3), 200):
+            expected_pair_product(m1, m2, rho)
+            curves.rho_bar(m1, m2, rho)
+
+
+# |mu| = 1, within 1e-12 of 1, and the pinning level 1 - 1e-9
+PAIR_MUS = (st.floats(-1.0, 1.0)
+            | st.sampled_from([1.0, -1.0, 1.0 - 1e-16, -1.0 + 1e-16, _MU_DETERMINISTIC])
+            | st.floats(0.0, 1e-12).map(lambda d: 1.0 - d)
+            | st.floats(0.0, 1e-12).map(lambda d: d - 1.0))
+
+
+@st.composite
+def tetrahedron_points(draw) -> tuple[float, float, float]:
+    """(mu1, mu2, rho) with rho on its feasible segment, both ends included."""
+    m1, m2 = draw(PAIR_MUS), draw(PAIR_MUS)
+    lo, hi = curves._rho_range(m1, m2)
+    if hi < lo:
+        m2 = m1  # mu1 = mu2 keeps a segment
+        lo, hi = curves._rho_range(m1, m2)
+    t = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return m1, m2, min(hi, max(lo, lo * (1.0 - t) + hi * t))
+
+
+class TestPairLawMatchesOracle:
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(tetrahedron_points())
+    @example((1.0, 0.4, 0.4))
+    @example((0.0, 0.0, 1.0))
+    @example((0.9, 0.9, 0.95))
+    def test_expected_pair_product_bit_for_bit(self, point):
+        assert (expected_pair_product(*point).hex()
+                == expected_pair_product_oracle(*point).hex())
+
+    @pytest.mark.parametrize("seed", [0, 17, 29])
+    def test_simulation_bit_for_bit_on_drawn_configurations(self, seed):
+        # the shipped rounding makes the copied threshold rule's every decision
+        for i, (m1, m2, rho) in enumerate(draw_pair_configs(stream(seed, 3), 6)):
+            assert (simulate_pair_products(m1, m2, rho, 20_000, seed=seed + i)
+                    == simulate_pair_products_oracle(m1, m2, rho, 20_000, seed=seed + i))
 
 
 class TestRepair:

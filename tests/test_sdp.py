@@ -249,14 +249,13 @@ class TestSolve:
             assert sol.residuals.keys() == want.keys()
             for key, val in want.items():
                 assert sol.residuals[key] == pytest.approx(val, abs=1e-12)
-            assert np.array_equal(sol.mu, V[1:] @ V[0])
 
     def test_unit_norms(self):
         inst = random_instance(7, 3, 14, problem="2lin", seed=3)
         sol = solve_instance(inst, SolveOptions(restarts=1, max_iters=2000, seed=3))
         norms = np.linalg.norm(sol.vectors, axis=1)
         assert np.max(np.abs(norms - 1)) <= 1e-12
-        assert np.all(np.abs(sol.mu) <= 1 + 1e-9)
+        assert np.all(np.abs(sol.vectors[1:] @ sol.vectors[0]) <= 1 + 1e-9)
 
     def test_non_convergence_flagged_not_raised(self):
         inst = random_instance(10, 5, 25, problem="cut", seed=11)
@@ -293,7 +292,7 @@ def solution_bits(sol: SDPSolution) -> tuple:
     """Every field of a solution, floats as their bits."""
     floats = np.array([sol.objective_value, *sol.residuals.values()])
     return (sol.vectors.shape, sol.vectors.view(np.uint64).tobytes(),
-            sol.mu.view(np.uint64).tobytes(), floats.view(np.uint64).tolist(),
+            floats.view(np.uint64).tolist(),
             list(sol.residuals), sol.converged, sol.restart_index)
 
 
@@ -440,7 +439,7 @@ class TestDomainEdges:
         _, opt = brute_force_opt(inst)
         assert sol.objective_value >= opt - 1e-9
         assert sol.residuals["balance"] <= 1e-5
-        assert sol.mu.shape == (inst.n,)
+        assert (sol.vectors[1:] @ sol.vectors[0]).shape == (inst.n,)
         assert sol.vectors.shape == (inst.n + 1, p.dim)
         report = round_best_of(sol, inst, rounds=5, seed=1)
         assert cardinality(report.best_assignment) == inst.k
