@@ -7,7 +7,8 @@
                              for (X, Y) standard bivariate normal with
                              correlation rho,
 
-and `*_vec` forms; the package reads gamma_rho_vec, std_normal_inv_vec, gamma_rho, stream.
+and `*_vec` forms; the package reads gamma_rho_vec, std_normal_inv_vec, gamma_rho,
+stream and stream_uniforms.
 
 Phi^{-1} is scipy.special.ndtri behind a domain check; it is accurate
 to a few ulps over all of (0, 1), tails included.
@@ -40,12 +41,14 @@ Everywhere else Owen's value is clipped to the two bounds.
 
 All functions are pure and accept floats; `*_vec` variants accept numpy
 arrays (broadcasting) for the hot loops in the curve and rounding code.
-`stream(seed, index)` is the package's one seeded generator.
+`stream(seed, index)` is the package's one seeded generator;
+`stream_uniforms` draws the uniforms of many of its streams at once.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 from scipy.special import erfc as _erfc, ndtri, owens_t
@@ -103,6 +106,28 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     these streams, so a run is bit-reproducible from its seed.
     """
     return np.random.Generator(np.random.Philox(key=int(seed) % 2**64 + (index << 64)))
+
+
+def stream_uniforms(seed: int, indices: Sequence[int], size: int) -> np.ndarray:
+    """Rows `stream(seed, t).random(size)` for t in `indices`, stacked.
+
+    One Philox is re-keyed per row through its state, key words
+    [seed mod 2^64, t] at counter 0 with an empty buffer, which is the
+    state `stream(seed, t)` starts in; so each row has that stream's bits
+    without building a bit generator and a Generator per row.
+    """
+    bits = np.random.Philox(0)
+    gen = np.random.Generator(bits)
+    empty = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": empty, "key": empty},
+             "buffer": empty, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    low = int(seed) % 2**64
+    out = np.empty((len(indices), size))
+    for row, t in zip(out, indices):
+        state["state"]["key"] = np.array([low, t], dtype=np.uint64)
+        bits.state = state
+        gen.random(out=row)
+    return out
 
 
 def _bvn(h, k, rho):

@@ -37,7 +37,7 @@ import numpy as np
 from .curves import check_pair, pair_product_vec, rho_bar
 from .errors import DomainError
 # gamma_rho stays in this namespace: perfbench's probe test reads it here
-from .gaussian import gamma_rho, std_normal_inv_vec, stream  # noqa: F401
+from .gaussian import gamma_rho, std_normal_inv_vec, stream, stream_uniforms  # noqa: F401
 from .instance import (
     CCInstance,
     as_assignment,
@@ -174,9 +174,10 @@ def round_best_of(
 
     Round t rounds with the Gaussian of `stream(seed, t)`, as `round_once`
     does, then `repair`s to cardinality k.  The solution's directions and
-    thresholds are computed once, the normals of a block of `ROUND_BLOCK`
-    rounds in one call, and each block's repaired rows are scored by one
-    `evaluate_many` call, which gives each row the bits `evaluate` gives it.
+    thresholds are computed once; a block of `ROUND_BLOCK` rounds draws its
+    uniforms in one `stream_uniforms` call and turns them into normals in
+    one call, and its repaired rows are scored by one `evaluate_many`
+    call, which gives each row the bits `evaluate` gives it.
     The earliest round with the maximum value wins.
     """
     if rounds < 1:
@@ -189,7 +190,7 @@ def round_best_of(
     flips: list[int] = []
     for start in range(0, rounds, ROUND_BLOCK):
         block = range(start, min(start + ROUND_BLOCK, rounds))
-        normals = _normals(np.stack([stream(seed, t).random(dim) for t in block]))
+        normals = _normals(stream_uniforms(seed, block, dim))
         rows = np.empty((len(block), inst.n), dtype=np.int64)
         for row, g in zip(rows, normals):
             raw = _round(th, g)

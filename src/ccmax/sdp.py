@@ -28,8 +28,8 @@ so the attained value also dominates that assignment's objective.
 Gram entries, which `relax` reads off `CCInstance.form`, and the
 solver's constant operators, built on first use.  `pieces` and
 `dloss_dgram` are the one home of the loss terms and of dLoss/dG; each
-runs a kernel bound to buffers of its own.  `solve` binds the two
-kernels once per solve and keeps the loss terms in local floats, so a
+runs a kernel bound to buffers of its own.  `_restart` binds the two
+kernels once per restart and keeps the loss terms in local floats, so a
 step allocates no dense array, dispatches no method and builds no
 tuple.  A step computes one Gram product G = V V^T of the candidate
 into the Gram buffer, reads the objective, balance residual and
@@ -42,15 +42,30 @@ update: a rejected step leaves the iterate and the multipliers, and so
 the gradient, as they were.  The work per step is O(n^2 dim + #pairs),
 and the solution reports the objective and residuals of its iterate's
 pieces.
+
+The restarts of one solve run side by side.  With w workers, one per
+restart and per CPU the process may run on (`os.sched_getaffinity`),
+capped so that their dense arrays together fit in `MAX_DENSE_BYTES`,
+worker j runs restarts r = j (mod w): worker 0 is the calling process,
+the others are `os.fork`ed children that pickle their offers back
+through a pipe and leave by `os._exit`.  `solve` then picks among the
+offers in restart order, as a serial loop would.  A restart reads only
+the problem, the options, the seed assignment and `stream(seed, r)`, and
+runs the same float operations on the same operands in any process, so
+the solution's bits do not depend on w; w = 1, and any platform without
+`fork`, runs the same `_restart` calls in one loop.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import BinaryIO, Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -63,9 +78,11 @@ from .instance import CCInstance, as_assignment, greedy_assignment
 STEP = 0.02
 TOL = 1e-6  # feasibility tolerance on the balance residual and each triangle violation
 
-# Bytes the dense (n+1)^2 float64 arrays may take.  A solve holds four at once
+# Bytes the dense (n+1)^2 float64 arrays may take.  A restart holds four at once
 # (M_obj, the Gram buffer, the working M buffer and the np.bincount triangle scatter),
 # greedy_assignment two, before the solve.  relax refuses 5 * 8 * (n+1)^2 > 1 GiB: n > 5180.
+# The bound holds for all processes of one solve together: `_workers` runs as many
+# restarts side by side as hold their four arrays each within it, so n > 4095 runs serially.
 MAX_DENSE_BYTES = 1 << 30
 
 # the four triangle forms as sign rows on (mu_i, mu_j, rho_ij)
@@ -218,6 +235,10 @@ class SolveOptions:
     seed: int = 0
 
 
+# (key, restart, V, obj, h, viol_max, converged): one restart's offer to `solve`
+_Offer = tuple[tuple[bool, float], int, np.ndarray, float, float, float, bool]
+
+
 def relax(inst: CCInstance) -> SDPProblem:
     """Build the relaxation of `inst.form`: its term c x_p x_q becomes
     c G[p, q], and every pair of distinct variables that a constraint
@@ -281,6 +302,189 @@ def _loss(obj: float, h: float, viol_sq: float, lam: float, sigma: float) -> flo
     return -obj + lam * h + 0.5 * sigma * h * h + 0.5 * sigma * viol_sq
 
 
+def _workers(n: int, restarts: int) -> int:
+    """How many processes run one solve's restarts: the least of the restart
+    count, the CPUs this process may run on, and the number of workers whose
+    four dense (n+1)^2 arrays each fit in MAX_DENSE_BYTES together; 1 where
+    the platform has no `os.fork` or `os.sched_getaffinity`."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    per_worker = 4 * 8 * (n + 1) ** 2
+    return max(1, min(restarts, len(os.sched_getaffinity(0)), MAX_DENSE_BYTES // per_worker))
+
+
+def _restart(problem: SDPProblem, opts: SolveOptions, integral_seed: np.ndarray | None,
+             r: int) -> _Offer:
+    """Run restart r from `stream(opts.seed, r)` and return its offer: the best
+    iterate it met whose balance residual and triangle violations are all
+    within TOL, else its last one, with `solve`'s selection key."""
+    n, dim = problem.n, problem.dim
+    read, assemble = problem._pieces_kernel(), problem._dloss_kernel()
+    multiply, subtract, add_reduce = np.multiply, np.subtract, np.add.reduce
+
+    rng = stream(opts.seed, r)
+    if r == 0 and integral_seed is not None:
+        V_exact = _integral_embedding(integral_seed.astype(float), dim)
+        V = _perturb_tangential(V_exact, rng)
+    else:
+        V_exact = None
+        V = _normalize_rows(rng.standard_normal((n + 1, dim)))
+    # the iterate and the candidate swap buffers on every accepted step
+    V_new = np.empty_like(V)
+    viol, viol_new = np.empty((2, len(problem.tri), 4))
+    grad, scratch, norms = np.empty_like(V), np.empty_like(V), np.empty((n + 1, 1))
+
+    lam = 0.0
+    sigma = 10.0
+    eta = STEP
+    prev_loss = math.inf
+    stall = 0
+    last_resid = math.inf
+    converged = False
+    obj_window: deque[float] = deque(maxlen=200)
+    snap: tuple[np.ndarray, float, float, float] | None = None  # best feasible-to-tol iterate
+
+    def consider(Vc: np.ndarray, obj: float, h: float, viol_max: float) -> None:
+        nonlocal snap
+        if _feasible(h, viol_max) and obj > (snap[1] if snap else -math.inf):
+            snap = (Vc.copy(), obj, h, viol_max)
+
+    if V_exact is not None:
+        obj, h, viol_max, _ = read(V_exact, viol)
+        consider(V_exact, obj, h, viol_max)
+
+    obj, h, viol_max, viol_sq = read(V, viol)
+    consider(V, obj, h, viol_max)
+    loss = _loss(obj, h, viol_sq, lam, sigma)
+    stale = True  # grad is the projected gradient at (V, viol, lam, sigma) unless stale
+    for it in range(opts.max_iters):
+        if stale:
+            assemble(lam, sigma, h, viol).dot(V, out=grad)
+            multiply(grad, 2.0, out=grad)
+            # project to the tangent of the unit spheres
+            add_reduce(multiply(grad, V, out=scratch), axis=1, keepdims=True, out=norms)
+            subtract(grad, multiply(norms, V, out=scratch), out=grad)
+            stale = False
+
+        subtract(V, multiply(grad, eta, out=scratch), out=V_new)
+        _normalize_rows(V_new, scratch, norms)
+        obj_n, h_n, viol_max_n, viol_sq_n = read(V_new, viol_new)
+        loss_n = _loss(obj_n, h_n, viol_sq_n, lam, sigma)
+        if loss_n <= loss:
+            V, V_new, viol, viol_new = V_new, V, viol_new, viol
+            obj, h, viol_max, viol_sq, loss = obj_n, h_n, viol_max_n, viol_sq_n, loss_n
+            stale = True
+            eta = min(eta * 1.05, 1.0)
+            if (it + 1) % 50 == 0:
+                consider(V, obj, h, viol_max)
+        else:
+            eta = max(eta * 0.5, 1e-12)
+
+        if (it + 1) % 100 == 0:
+            lam += sigma * h
+            resid = max(abs(h), viol_max)
+            if resid > TOL and resid > 0.9 * last_resid:
+                stall += 100
+            else:
+                stall = 0
+            if stall >= 200:
+                sigma = min(sigma * 10, 1e8)
+                stall = 0
+            last_resid = resid
+            loss = _loss(obj, h, viol_sq, lam, sigma)
+            stale = True
+
+        obj_window.append(obj)
+        if (it >= 200 and _feasible(h, viol_max)
+                and max(obj_window) - min(obj_window) < 1e-9 * max(1.0, abs(obj))):
+            converged = True
+            break
+        if abs(prev_loss - loss) < 1e-15 and eta <= 1e-11:
+            break
+        prev_loss = loss
+
+    consider(V, obj, h, viol_max)
+    offer = snap or (V, obj, h, viol_max)
+    key = (True, offer[1]) if snap else (False, -(abs(h) + viol_max))
+    return (key, r, *offer, converged)
+
+
+def _child(share: Callable[[int], list[_Offer]], j: int, wfd: int) -> NoReturn:
+    """Body of forked worker j: pickle (True, share(j)) or (False, the exception
+    it raised) into the pipe `wfd`, then leave by `os._exit`, which runs no exit
+    handler and flushes no stdio buffer inherited from the parent."""
+    status = 1
+    try:
+        try:
+            payload: tuple[bool, object] = (True, share(j))
+        except BaseException as exc:  # the parent raises it again
+            payload = (False, exc)
+        try:
+            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # an exception that does not pickle
+            data = pickle.dumps((False, RuntimeError(f"restart worker failed: {payload[1]!r} "
+                                                     f"({exc!r})")))
+        with os.fdopen(wfd, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _offers(problem: SDPProblem, opts: SolveOptions,
+            integral_seed: np.ndarray | None) -> list[_Offer]:
+    """The offers of restarts 0 .. restarts - 1, in restart order.
+
+    Worker j of `_workers(...)` runs the restarts r = j (mod workers).
+    Worker 0 is this process; every other is a forked child that sends its
+    offers, or the exception it raised, back pickled through a pipe.  The
+    parent reads each pipe to its end and reaps each child; if anything
+    raises before that, it kills and reaps every child it has not reaped.
+    """
+    workers = _workers(problem.n, opts.restarts)
+
+    def share(j: int) -> list[_Offer]:
+        return [_restart(problem, opts, integral_seed, r)
+                for r in range(j, opts.restarts, workers)]
+
+    if workers == 1:
+        return share(0)
+    children: list[int] = []  # pids not yet reaped, in worker order
+    readers: list[BinaryIO] = []  # the read end of each child's pipe
+    try:
+        for j in range(1, workers):
+            rfd, wfd = os.pipe()
+            readers.append(os.fdopen(rfd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(share, j, wfd)
+            finally:
+                os.close(wfd)  # the parent's copy; the child leaves by os._exit
+            children.append(pid)
+        shares = [share(0)]
+        for reader in readers:
+            data = reader.read()
+            reader.close()
+            pid = children[0]
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            if not data:
+                raise RuntimeError(f"restart worker {pid} ended with wait status {status} "
+                                   "and sent nothing")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            shares.append(value)
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [shares[r % workers][r // workers] for r in range(opts.restarts)]
+
+
 def solve(
     problem: SDPProblem,
     opts: SolveOptions | None = None,
@@ -293,7 +497,8 @@ def solve(
     assignment's value by more than the embedding noise.  Every other
     restart (restart 0 too, without a seed) starts at random.  Restart
     streams derive from (seed, restart_index); the result is
-    deterministic for fixed options.  Each restart offers the best
+    deterministic for fixed options, however the restarts are split
+    across processes.  Each restart offers the best
     iterate it met whose balance residual and triangle violations are
     all within TOL, else its last one.  A feasible offer, one of the
     former kind, beats any other; then the higher objective, or among
@@ -308,99 +513,10 @@ def solve(
     if integral_seed is not None:
         integral_seed = as_assignment(integral_seed, problem.n)
 
-    n, dim = problem.n, problem.dim
-    read, assemble = problem._pieces_kernel(), problem._dloss_kernel()
-    multiply, subtract, add_reduce = np.multiply, np.subtract, np.add.reduce
-    # (key, restart, V, obj, h, viol_max, converged) of the best offer so far
-    best: tuple[tuple[bool, float], int, np.ndarray, float, float, float, bool] | None = None
-
-    for r in range(opts.restarts):
-        rng = stream(opts.seed, r)
-        if r == 0 and integral_seed is not None:
-            V_exact = _integral_embedding(integral_seed.astype(float), dim)
-            V = _perturb_tangential(V_exact, rng)
-        else:
-            V_exact = None
-            V = _normalize_rows(rng.standard_normal((n + 1, dim)))
-        # the iterate and the candidate swap buffers on every accepted step
-        V_new = np.empty_like(V)
-        viol, viol_new = np.empty((2, len(problem.tri), 4))
-        grad, scratch, norms = np.empty_like(V), np.empty_like(V), np.empty((n + 1, 1))
-
-        lam = 0.0
-        sigma = 10.0
-        eta = STEP
-        prev_loss = math.inf
-        stall = 0
-        last_resid = math.inf
-        converged = False
-        obj_window: deque[float] = deque(maxlen=200)
-        snap: tuple[np.ndarray, float, float, float] | None = None  # best feasible-to-tol iterate
-
-        def consider(Vc: np.ndarray, obj: float, h: float, viol_max: float) -> None:
-            nonlocal snap
-            if _feasible(h, viol_max) and obj > (snap[1] if snap else -math.inf):
-                snap = (Vc.copy(), obj, h, viol_max)
-
-        if V_exact is not None:
-            obj, h, viol_max, _ = read(V_exact, viol)
-            consider(V_exact, obj, h, viol_max)
-
-        obj, h, viol_max, viol_sq = read(V, viol)
-        consider(V, obj, h, viol_max)
-        loss = _loss(obj, h, viol_sq, lam, sigma)
-        stale = True  # grad is the projected gradient at (V, viol, lam, sigma) unless stale
-        for it in range(opts.max_iters):
-            if stale:
-                assemble(lam, sigma, h, viol).dot(V, out=grad)
-                multiply(grad, 2.0, out=grad)
-                # project to the tangent of the unit spheres
-                add_reduce(multiply(grad, V, out=scratch), axis=1, keepdims=True, out=norms)
-                subtract(grad, multiply(norms, V, out=scratch), out=grad)
-                stale = False
-
-            subtract(V, multiply(grad, eta, out=scratch), out=V_new)
-            _normalize_rows(V_new, scratch, norms)
-            obj_n, h_n, viol_max_n, viol_sq_n = read(V_new, viol_new)
-            loss_n = _loss(obj_n, h_n, viol_sq_n, lam, sigma)
-            if loss_n <= loss:
-                V, V_new, viol, viol_new = V_new, V, viol_new, viol
-                obj, h, viol_max, viol_sq, loss = obj_n, h_n, viol_max_n, viol_sq_n, loss_n
-                stale = True
-                eta = min(eta * 1.05, 1.0)
-                if (it + 1) % 50 == 0:
-                    consider(V, obj, h, viol_max)
-            else:
-                eta = max(eta * 0.5, 1e-12)
-
-            if (it + 1) % 100 == 0:
-                lam += sigma * h
-                resid = max(abs(h), viol_max)
-                if resid > TOL and resid > 0.9 * last_resid:
-                    stall += 100
-                else:
-                    stall = 0
-                if stall >= 200:
-                    sigma = min(sigma * 10, 1e8)
-                    stall = 0
-                last_resid = resid
-                loss = _loss(obj, h, viol_sq, lam, sigma)
-                stale = True
-
-            obj_window.append(obj)
-            if (it >= 200 and _feasible(h, viol_max)
-                    and max(obj_window) - min(obj_window) < 1e-9 * max(1.0, abs(obj))):
-                converged = True
-                break
-            if abs(prev_loss - loss) < 1e-15 and eta <= 1e-11:
-                break
-            prev_loss = loss
-
-        consider(V, obj, h, viol_max)
-        offer = snap or (V, obj, h, viol_max)
-        key = (True, offer[1]) if snap else (False, -(abs(h) + viol_max))
-        if best is None or key > best[0]:
-            best = (key, r, *offer, converged)
+    best: _Offer | None = None
+    for offer in _offers(problem, opts, integral_seed):
+        if best is None or offer[0] > best[0]:
+            best = offer
 
     _, r, V, obj, h, viol_max, converged = best
     return SDPSolution(

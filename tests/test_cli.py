@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +16,10 @@ from ccmax.cli import MAX_CURVE_POINTS, build_parser, main
 from ccmax.curves import extremal_rho
 from ccmax.gadget import format_ug, random_ug
 from ccmax.gaussian import gamma_rho
-from ccmax.instance import CCInstance, Constraint, Xor, format_instance
+from ccmax.instance import CCInstance, Constraint, Xor, format_instance, random_instance
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -219,6 +223,47 @@ class TestSolvePipeline:
         with pytest.raises(SystemExit) as exc:
             main(["sdp", "--input", str(cycle_file), "--tol", "1e-6"])
         assert exc.value.code == 2
+
+
+class TestRestartsAcrossProcesses:
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two CPUs to run restarts side by side")
+    def test_one_cpu_and_all_cpus_give_the_same_bytes(self, tmp_path):
+        # seed-17 solve-small item 2 of the benchmark, where restart 1 wins:
+        # once with the restarts in two processes, once pinned to one CPU
+        seed = 117_002
+        inst = random_instance(14, 7, 40, problem="cut", seed=seed)
+        (tmp_path / "inst.ccmax").write_text(format_instance(inst), encoding="utf-8")
+        solver = ["--input", "inst.ccmax", "--restarts", "2", "--max-iters", "2000",
+                  "--seed", str(seed)]
+        commands = [["solve", *solver, "--rounds", "200", "--report", "report.txt"],
+                    ["sdp", *solver, "--dump-gram", "gram.csv"]]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe stays block-buffered
+        cpu = min(os.sched_getaffinity(0))
+
+        def run(pin: bool) -> list[bytes]:
+            outputs = []
+            for argv in commands:
+                done = subprocess.run(
+                    # "begin" waits in the stdout buffer while the solver forks
+                    [sys.executable, "-c", "import sys; from ccmax.cli import main; "
+                     "print('begin'); sys.exit(main(sys.argv[1:]))", *argv],
+                    cwd=tmp_path, env=env, capture_output=True, check=True, timeout=300,
+                    preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if pin else None)
+                assert done.stderr == b""
+                outputs.append(done.stdout)
+            return outputs + [(tmp_path / name).read_bytes() for name in ("report.txt", "gram.csv")]
+
+        spread, pinned = run(False), run(True)
+        assert spread == pinned
+        solve_out, sdp_out = spread[:2]
+        # a forked worker flushes nothing it inherited: each line comes once
+        for out in (solve_out, sdp_out):
+            lines = out.splitlines()
+            assert lines[0] == b"begin" and len(set(lines)) == len(lines)
+        assert spread[2].startswith(b"# ccmax ") and spread[3].startswith(b"# ccmax ")
 
 
 class TestOneParserPerProcess:

@@ -25,6 +25,7 @@ from ccmax.gaussian import (
     std_normal_inv_vec,
     std_normal_pdf,
     stream,
+    stream_uniforms,
 )
 
 # mpmath (dps=40): exp(-1/2)/sqrt(2*pi)
@@ -246,6 +247,26 @@ class TestStream:
         # Philox(key=[seed, index]) rounds these seeds through float64
         draws = {tuple(stream(seed).random(4)) for seed in (2**63, 2**63 + 1, 2**64 - 1)}
         assert len(draws) == 3
+
+
+class TestStreamUniforms:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.one_of(st.sampled_from([-1, -17, 0, 2**63, 2**64 + 5, 3**90, -(2**70)]),
+                     st.integers(-(2**130), 2**130)),
+           st.lists(st.one_of(st.integers(0, 500), st.integers(2**63 - 2, 2**64 - 1)),
+                    max_size=12),
+           st.integers(0, 40))
+    def test_rows_are_the_streams_bit_for_bit(self, seed, indices, size):
+        # seeds past 2^64 and negative ones wrap to seed mod 2^64; indices
+        # reach the largest key word
+        got = stream_uniforms(seed, indices, size)
+        assert got.shape == (len(indices), size)
+        for row, t in zip(got, indices):
+            assert row.tobytes() == stream(seed, t).random(size).tobytes()
+
+    def test_three_hundred_rounds_of_one_seed(self):
+        want = np.stack([stream(17, t).random(61) for t in range(300)])
+        assert stream_uniforms(17, range(300), 61).tobytes() == want.tobytes()
 
 
 class TestGammaRho:

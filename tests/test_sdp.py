@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from instance_oracles import criterion_7_instances, relax_arrays_oracle
 from sdp_oracles import (
     dloss_dgram_oracle,
@@ -31,7 +34,17 @@ from ccmax.instance import (
     random_instance,
 )
 from ccmax.rounding import round_best_of
-from ccmax.sdp import TOL, SDPSolution, SolveOptions, relax, solve, solve_instance
+from ccmax import sdp
+from ccmax.sdp import (
+    MAX_DENSE_BYTES,
+    TOL,
+    SDPSolution,
+    SolveOptions,
+    _workers,
+    relax,
+    solve,
+    solve_instance,
+)
 
 
 def cycle(n: int, k: int) -> CCInstance:
@@ -328,6 +341,154 @@ class TestSolveMatchesOracle:
         a = brute_force_opt(inst)[0]
         opts = SolveOptions(2, 2000, seed)
         assert solution_bits(solve(p, opts, a)) == solution_bits(solve_oracle(p, opts, a))
+
+
+def affinity(cpus: int):
+    """A stand-in for `os.sched_getaffinity` that reports `cpus` CPUs."""
+    return lambda pid: set(range(cpus))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestRestartsInProcesses:
+    """`solve` splits its restarts across forked workers; the bits do not
+    depend on the split, and no worker outlives the call."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.sampled_from(["cut", "2sat", "2lin", "kvc"]), st.integers(2, 8),
+           st.integers(0, 20), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
+           st.integers(1, 4), st.sampled_from([0, 1, 99, 100, 201, 350]), st.integers(2, 4))
+    @example("2sat", 3, 17, 17, True, False, 3, 350, 2)  # restart 0 converges at 350
+    def test_parallel_equals_serial_and_the_oracle(self, problem, n, m, seed, balanced, seeded,
+                                                   restarts, max_iters, cpus):
+        p = relax(random_instance(n, seed % (n + 1), m, problem=problem, seed=seed))
+        if not balanced:
+            p = replace(p, balance_target=None)
+        a = np.random.default_rng(seed).choice([-1, 1], n) if seeded else None
+        opts = SolveOptions(restarts, max_iters, seed)
+        want = solution_bits(solve_oracle(p, opts, a))
+        assert solution_bits(solve(p, opts, a)) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", affinity(1))
+            assert solution_bits(solve(p, opts, a)) == want
+            # three restarts on two workers, or four on three, split unevenly
+            mp.setattr(os, "sched_getaffinity", affinity(cpus))
+            assert solution_bits(solve(p, opts, a)) == want
+        assert_no_child_left()
+
+    def test_the_converging_example_converges_early(self):
+        p = relax(random_instance(3, 1, 17, problem="2sat", seed=17))
+        assert solve(p, SolveOptions(3, 350, 17)).converged
+
+    def test_worker_count(self, monkeypatch):
+        # one per restart and per CPU, and four dense (n+1)^2 arrays per worker
+        # within MAX_DENSE_BYTES; _workers allocates nothing
+        monkeypatch.setattr(os, "sched_getaffinity", affinity(8))
+        assert [_workers(60, r) for r in (1, 2, 3, 20)] == [1, 2, 3, 8]
+        assert (_workers(4095, 3), _workers(4096, 3), _workers(5180, 3)) == (2, 1, 1)
+        assert 2 * 4 * 8 * 4096**2 <= MAX_DENSE_BYTES < 2 * 4 * 8 * 4097**2
+        monkeypatch.setattr(os, "sched_getaffinity", affinity(2))
+        assert (_workers(60, 3), _workers(5180, 3)) == (2, 1)
+        monkeypatch.delattr(os, "fork")
+        assert _workers(60, 3) == 1
+
+    def test_a_child_exception_is_raised_in_the_parent(self, monkeypatch):
+        parent, restart = os.getpid(), sdp._restart
+
+        def failing(problem, opts, integral_seed, r):
+            if os.getpid() != parent:
+                raise DomainError(f"restart {r} failed in a child")
+            return restart(problem, opts, integral_seed, r)
+
+        monkeypatch.setattr(sdp, "_restart", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", affinity(3))
+        fds = open_fds()
+        with pytest.raises(DomainError, match="restart 1 failed in a child"):
+            solve(relax(cycle(5, 2)), SolveOptions(3, 50, 0))
+        assert_no_child_left()
+        assert open_fds() == fds
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, DomainError])
+    def test_a_parent_exception_kills_and_reaps_every_child(self, exc, monkeypatch):
+        parent = os.getpid()
+
+        def stuck_children(problem, opts, integral_seed, r):
+            if os.getpid() == parent:
+                raise exc("parent share failed")
+            time.sleep(60)
+
+        monkeypatch.setattr(sdp, "_restart", stuck_children)
+        monkeypatch.setattr(os, "sched_getaffinity", affinity(3))
+        fds = open_fds()
+        t0 = time.monotonic()
+        with pytest.raises(exc, match="parent share failed"):
+            solve(relax(cycle(5, 2)), SolveOptions(3, 50, 0))
+        assert time.monotonic() - t0 < 30.0  # killed, not waited for
+        assert_no_child_left()
+        assert open_fds() == fds
+
+    def test_an_interrupt_while_reading_a_pipe_kills_and_reaps_every_child(self, monkeypatch):
+        parent, restart = os.getpid(), sdp._restart
+
+        def slow_children(problem, opts, integral_seed, r):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return restart(problem, opts, integral_seed, r)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt("interrupted while reading")
+
+        monkeypatch.setattr(sdp, "_restart", slow_children)
+        monkeypatch.setattr(os, "sched_getaffinity", affinity(3))
+        fds = open_fds()
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)  # a forked child starts no timer
+            with pytest.raises(KeyboardInterrupt, match="interrupted while reading"):
+                solve(relax(cycle(5, 2)), SolveOptions(3, 50, 0))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_child_left()
+        assert open_fds() == fds
+
+    def test_a_child_that_sends_nothing_is_an_error(self, monkeypatch):
+        parent = os.getpid()
+
+        def vanishing(problem, opts, integral_seed, r):
+            if os.getpid() != parent:
+                os._exit(3)
+            return (True, 0.0), r, np.zeros((1, 1)), 0.0, 0.0, 0.0, True
+
+        monkeypatch.setattr(sdp, "_restart", vanishing)
+        monkeypatch.setattr(os, "sched_getaffinity", affinity(2))
+        with pytest.raises(RuntimeError, match="sent nothing"):
+            solve(relax(cycle(5, 2)), SolveOptions(2, 50, 0))
+        assert_no_child_left()
+
+    def test_an_exception_that_does_not_pickle_arrives_as_its_repr(self, monkeypatch):
+        parent, restart = os.getpid(), sdp._restart
+
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        def failing(problem, opts, integral_seed, r):
+            if os.getpid() != parent:
+                raise Local("unpicklable")
+            return restart(problem, opts, integral_seed, r)
+
+        monkeypatch.setattr(sdp, "_restart", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", affinity(2))
+        with pytest.raises(RuntimeError, match="restart worker failed: .*unpicklable"):
+            solve(relax(cycle(5, 2)), SolveOptions(2, 50, 0))
+        assert_no_child_left()
 
 
 def dense_dloss_dgram(problem, V, lam, sigma):
