@@ -334,18 +334,20 @@ def _all_subset_stats(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     return ws, wss
 
 
-def _incidence(graph: WeightedGraph) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Row pointers, other endpoints and weights of each vertex's incident edges.
+def _neighbours(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each vertex's distinct neighbours and the summed weight of its edges to each.
 
-    A loop is listed once, in its vertex's row.
+    Returns (vertex, neighbour, weight) rows sorted by vertex, then by
+    neighbour; a loop counts once, in its vertex's row.  Parallel edges
+    are summed in edge order.
     """
+    n = graph.n_vertices
     loop = graph.edge_a == graph.edge_b
-    ends = np.concatenate([graph.edge_a, graph.edge_b[~loop]])
-    other = np.concatenate([graph.edge_b, graph.edge_a[~loop]])
+    key = np.concatenate([graph.edge_a * n + graph.edge_b,
+                          (graph.edge_b * n + graph.edge_a)[~loop]])
+    pair, entry_pair = np.unique(key, return_inverse=True)
     w = np.concatenate([graph.edge_w, graph.edge_w[~loop]])
-    order = np.argsort(ends, kind="stable")
-    ptr = np.searchsorted(ends[order], np.arange(graph.n_vertices + 1))
-    return ptr.tolist(), other[order], w[order]
+    return pair // n, pair % n, np.bincount(entry_pair, weights=w, minlength=pair.size)
 
 
 def density_profile(
@@ -363,15 +365,22 @@ def density_profile(
     taken in a random order until the weight reaches the window) it
     sweeps the vertices in index order, keeping each single-vertex flip
     that stays in the window and lowers the internal weight, and sweeps
-    again until a sweep keeps none.  Each flip is screened in O(degree):
+    again until a sweep keeps none.
+
+    A sweep runs in rounds.  A round screens the flips of every vertex
+    v >= start at once, at the current set, with array operations:
     `acc +- w_v` against the window widened by a bound on the rounding of
-    any summation order, then the vertex's incident weight into the set,
-    since with no such edge the selected edges and so their sum stay the
-    same, and an added weight above the edge sum's rounding bound must
-    raise it.  Only the flips the screen leaves open are summed exactly,
-    with the unscreened search's tests, so every kept flip and every
-    minimum is that search's bit for bit.  Each target r is a fraction
-    of the unit total vertex weight, so it must lie in [0, 1].
+    any summation order; then the vertex's edges into the set, since with
+    none the selected edges and so their sum stay the same; then, when
+    adding, their weight, since one above the edge sum's rounding bound
+    must raise that sum, in whatever order either is summed.  Each test
+    drops only flips that the unscreened search would reject.  The flips
+    left open are tried in index order with that search's own tests: the
+    exact window sum when the band left the flip undecided, then the
+    internal weight.  A kept flip ends the round and the next one starts
+    at v + 1, so every kept flip and every minimum is that search's bit
+    for bit.  Each target r is a fraction of the unit total vertex
+    weight, so it must lie in [0, 1].
     """
     rs = [float(r) for r in r_grid]
     if not rs:
@@ -400,12 +409,34 @@ def density_profile(
     if mode != "local_search":
         raise DomainError(f"unknown mode {mode!r}")
 
-    weights = graph.vertex_weights.tolist()
-    ptr, nbr, nbr_w = _incidence(graph)
+    vw = graph.vertex_weights
+    weights = vw.tolist()
+    owner, other, other_w = _neighbours(graph)
+    row_start = np.searchsorted(owner, np.arange(n + 1)).tolist()
+    loop = other == owner
     eps = np.finfo(float).eps
     # any order of summing n vertex weights (or E edge weights) is within this of any other
     w_band = 4 * (n + 1) * eps * graph.total_vertex_weight()
     rise = 4 * (graph.edge_w.size + 1) * eps * graph.total_edge_weight() + 1e-15
+
+    def open_flips(mask: np.ndarray, acc: float, r: float,
+                   start: int) -> Iterator[tuple[int, bool]]:
+        """(v, band undecided) for each v >= start whose flip no screen drops."""
+        adding = ~mask[start:]
+        w = vw[start:]
+        lo = np.where(adding, acc + w, acc - w) - w_band
+        hi = lo + 2 * w_band
+        lo_in, hi_in = np.abs(lo - r) <= tol_r, np.abs(hi - r) <= tol_r
+        # the whole band lies on one side of the window
+        outside = ~(lo_in | hi_in | ((lo <= r) & (r <= hi)))
+        p = row_start[start]
+        into = mask[other[p:]] | loop[p:]
+        rows = owner[p:][into] - start
+        no_edge = np.bincount(rows, minlength=n - start) == 0
+        rises = adding & (np.bincount(rows, weights=other_w[p:][into], minlength=n - start) > rise)
+        keep = np.flatnonzero(~(outside | no_edge | rises))
+        return zip((keep + start).tolist(), (~(lo_in & hi_in))[keep].tolist())
+
     samples = []
     for r in rs:
         best = math.inf
@@ -429,33 +460,24 @@ def density_profile(
             improved = True
             while improved:
                 improved = False
-                for v in range(n):
-                    adding = not mask[v]
-                    lo = (acc + weights[v] if adding else acc - weights[v]) - w_band
-                    hi = lo + 2 * w_band
-                    lo_in, hi_in = abs(lo - r) <= tol_r, abs(hi - r) <= tol_r
-                    if not (lo_in and hi_in):
-                        if not (lo_in or hi_in or lo <= r <= hi):
-                            continue  # the whole band lies on one side of the window
+                start = 0
+                while start < n:
+                    for v, undecided in open_flips(mask, acc, r, start):
+                        adding = not mask[v]
                         mask[v] = adding
-                        in_window = abs(graph.subset_weight(mask) - r) <= tol_r
-                        mask[v] = not adding
-                        if not in_window:
+                        if undecided and not abs(graph.subset_weight(mask) - r) <= tol_r:
+                            mask[v] = not adding
                             continue
-                    other = nbr[ptr[v]:ptr[v + 1]]
-                    into = mask[other] | (other == v)
-                    if not into.any():
-                        continue  # the same edges stay selected: the same sum
-                    if adding and float(np.sum(nbr_w[ptr[v]:ptr[v + 1]][into])) > rise:
-                        continue  # the sum must rise
-                    mask[v] = adding
-                    cand = graph.internal_weight(mask)
-                    if cand < cur - 1e-15:
-                        cur = cand
-                        acc = graph.subset_weight(mask)
-                        improved = True
-                        continue
-                    mask[v] = not adding
+                        cand = graph.internal_weight(mask)
+                        if cand < cur - 1e-15:
+                            cur = cand
+                            acc = graph.subset_weight(mask)
+                            improved = True
+                            start = v + 1
+                            break
+                        mask[v] = not adding
+                    else:
+                        break  # no open flip from start on was kept: the sweep ends
             best = min(best, cur)
         samples.append(DensitySample(r, best, "local_search", found))
     return DensityProfile(tuple(samples))

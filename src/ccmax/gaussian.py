@@ -137,7 +137,8 @@ def _bvn(h, k, rho):
     symmetric in (h, k) to the bit: the T terms enter as one sum.  Passing
     the same array as h and k takes the diagonal, at one owens_t and one
     erfc per point, with the general formula's bits (see the module
-    docstring).
+    docstring).  Lanes with h or k = 0 divide by zero on the way to their
+    limit, so callers run it with divide and invalid errors ignored.
     """
     s = np.sqrt((1.0 - rho) * (1.0 + rho))
     # k - rho h as (k - h) + (1 - rho) h for rho >= 0 and (k + h) - (1 + rho) h below:
@@ -149,12 +150,11 @@ def _bvn(h, k, rho):
         num = (k - sgn * h) + sgn * c * h
         return np.where(h == 0.0, 0.25 * np.sign(num), owens_t(h, num / (h * s)))
 
-    with np.errstate(divide="ignore", invalid="ignore"):  # h or k = 0 takes the limit
-        if k is h:
-            val = 0.5 * _erfc(h / -_SQRT2) - 2.0 * t(h, h)
-        else:
-            beta = np.where((h * k < 0.0) | ((h * k == 0.0) & (h + k < 0.0)), 0.5, 0.0)
-            val = 0.25 * (_erfc(h / -_SQRT2) + _erfc(k / -_SQRT2)) - (t(h, k) + t(k, h)) - beta
+    if k is h:
+        val = 0.5 * _erfc(h / -_SQRT2) - 2.0 * t(h, h)
+    else:
+        beta = np.where((h * k < 0.0) | ((h * k == 0.0) & (h + k < 0.0)), 0.5, 0.0)
+        val = 0.25 * (_erfc(h / -_SQRT2) + _erfc(k / -_SQRT2)) - (t(h, k) + t(k, h)) - beta
     return np.where((h == 0.0) & (k == 0.0), 0.25 + _INV_2PI * np.arcsin(rho), val)
 
 
@@ -165,19 +165,32 @@ def gamma_rho_vec(rho, x, y):
     hi = min(x, y), and its edge cases are those bounds: hi on a marginal
     edge (x or y in {0, 1}) and at rho = 1, lo at rho = -1.  Everywhere
     else it is `_bvn` clipped to [lo, hi]; a NaN rho stays on that path.
-    When x and y hold equal values (after broadcasting), `_bvn` takes the
-    diagonal, one owens_t per point in place of two, with the same bits.
-    Arguments are not validated.
+    When x is y, or x and y hold equal values (after broadcasting), `_bvn`
+    takes the diagonal, one owens_t per point in place of two, with the
+    same bits.  Arguments are not validated.
+
+    Each call pays a fixed cost in numpy calls, which the golden-section
+    scans feel at a few dozen points per call: arrays are broadcast only
+    when their shapes differ, the edge lanes are patched in only when
+    there are any, and the clip to [lo, hi] is done in place.
     """
-    rho, x, y = np.broadcast_arrays(
-        np.asarray(rho, dtype=float), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    diagonal = x is y
+    rho, x, y = np.asarray(rho, dtype=float), np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not rho.shape == x.shape == y.shape:
+        rho, x, y = np.broadcast_arrays(rho, x, y)
     lo = np.maximum(0.0, x + y - 1.0)
     hi = np.minimum(x, y) + 0.0  # a level of -0.0 gives 0.0
-    edge = (x <= 0.0) | (y <= 0.0) | (x >= 1.0) | (y >= 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # edge and |rho| = 1 lanes go unread
+    to_hi = (x <= 0.0) | (y <= 0.0) | (x >= 1.0) | (y >= 1.0) | (rho >= 1.0)
+    to_lo = rho <= -1.0
+    # edge and |rho| = 1 lanes go unread; in `_bvn`, h or k = 0 takes its limit
+    with np.errstate(divide="ignore", invalid="ignore"):
         h = ndtri(x)
-        val = np.clip(_bvn(h, h if np.array_equal(x, y) else ndtri(y), rho), lo, hi)
-    return np.where(edge | (rho >= 1.0), hi, np.where(rho <= -1.0, lo, val))
+        val = _bvn(h, h if diagonal or np.array_equal(x, y) else ndtri(y), rho)
+    # np.clip(val, lo, hi) to the bit, NaN included
+    np.minimum(hi, np.maximum(lo, val, out=val), out=val)
+    if to_hi.any() or to_lo.any():
+        val = np.where(to_hi, hi, np.where(to_lo, lo, val))
+    return val
 
 
 def gamma_rho(rho: float, x: float, y: float) -> float:

@@ -210,7 +210,7 @@ def as_assignment(values: Sequence[int] | np.ndarray, n: int | None = None) -> n
 
 def cardinality(values: Sequence[int] | np.ndarray) -> int:
     """Number of +1 (true) entries."""
-    return int(np.sum(np.asarray(values) == 1))
+    return int(np.count_nonzero(np.asarray(values) == 1))
 
 
 def is_feasible(inst: CCInstance, values: Sequence[int] | np.ndarray) -> bool:

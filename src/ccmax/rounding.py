@@ -15,10 +15,10 @@ fixed number of rounds is reported.
 the orthogonal parts w_i and their norms, the pinned rows, the
 normalised free rows and the thresholds; `round_best_of` and
 `simulate_pair_products` round with them.  Each round then takes one
-draw, one matrix-vector product, one comparison and `repair`.  The
-rounds are scored in blocks of `ROUND_BLOCK` rows, one `evaluate_many`
-call each, so a report holds one block of rows whatever the number of
-rounds; the earliest round with the maximum value wins.
+draw, one matrix-vector product, one comparison and `repair`'s flips.
+The rounds are scored in blocks of `ROUND_BLOCK` rows, one
+`evaluate_many` call each, so a report holds one block of rows whatever
+the number of rounds; the earliest round with the maximum value wins.
 
 Gaussians come from the package quantile function applied to a
 counter-based uniform stream (`gaussian.stream(seed, round)`), which
@@ -124,7 +124,11 @@ def repair(raw: np.ndarray, inst: CCInstance, target_k: int) -> np.ndarray:
     a = as_assignment(raw, inst.n).copy()
     if not (0 <= target_k <= inst.n):
         raise DomainError(f"target cardinality {target_k} outside 0..{inst.n}")
-    gap = cardinality(a) - target_k
+    return _repair(a, inst, cardinality(a) - target_k)
+
+
+def _repair(a: np.ndarray, inst: CCInstance, gap: int) -> np.ndarray:
+    """`repair` of a checked int64 +-1 vector with `gap` ones too many, in place."""
     if gap == 0:
         return a
     sign = 1 if gap > 0 else -1  # flip +1s down, or -1s up
@@ -173,12 +177,13 @@ def round_best_of(
     """Best feasible value over independent round+repair trials.
 
     Round t rounds with the Gaussian of `stream(seed, t)`, as `round_once`
-    does, then `repair`s to cardinality k.  The solution's directions and
-    thresholds are computed once; a block of `ROUND_BLOCK` rounds draws its
-    uniforms in one `stream_uniforms` call and turns them into normals in
-    one call, and its repaired rows are scored by one `evaluate_many`
-    call, which gives each row the bits `evaluate` gives it.
-    The earliest round with the maximum value wins.
+    does, then `repair`s to cardinality k, skipping `repair`'s input
+    checks: the raw rounding is a fresh +-1 vector of length n.  The
+    solution's directions and thresholds are computed once; a block of
+    `ROUND_BLOCK` rounds draws its uniforms in one `stream_uniforms` call
+    and turns them into normals in one call, and its repaired rows are
+    scored by one `evaluate_many` call, which gives each row the bits
+    `evaluate` gives it.  The earliest round with the maximum value wins.
     """
     if rounds < 1:
         raise DomainError(f"rounds must be >= 1, got {rounds}")
@@ -194,8 +199,9 @@ def round_best_of(
         rows = np.empty((len(block), inst.n), dtype=np.int64)
         for row, g in zip(rows, normals):
             raw = _round(th, g)
-            row[:] = repair(raw, inst, inst.k)
-            flips.append(abs(cardinality(raw) - inst.k))
+            gap = cardinality(raw) - inst.k
+            row[:] = _repair(raw, inst, gap)
+            flips.append(abs(gap))
         vals = evaluate_many(inst, rows)
         i = int(np.argmax(vals))  # the first maximum
         if vals[i] > best_val:

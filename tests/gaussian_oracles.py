@@ -5,6 +5,8 @@ edge cases became its Frechet bounds: one masked branch per case.
 `bvn_two_t` is Owen's general formula with both T terms and beta, as
 `gaussian._bvn` evaluates it off the diagonal; `gamma_rho_two_t` is
 `gamma_rho_vec` through it alone, before the diagonal took one T term.
+`gamma_rho_vec_fixed_cost` is `gamma_rho_vec` before its fixed numpy
+calls per call were cut.
 `bvn_quad` is the 96-node Gauss-Legendre rule that `gamma_rho` used
 before Owen's T: the correlation derivative of Pr[X <= h, Y <= k]
 integrated from rho = 0 under the substitution rho = sin(theta).
@@ -54,11 +56,27 @@ def gamma_rho_branches(rho, x, y):
     if np.any(interior):
         h = ndtri(x[interior])
         kk = ndtri(y[interior])
-        val = _bvn(h, kk, rho[interior])
+        with np.errstate(divide="ignore", invalid="ignore"):  # h or k = 0 takes the limit
+            val = _bvn(h, kk, rho[interior])
         lo_b = np.maximum(0.0, x[interior] + y[interior] - 1.0)
         hi_b = np.minimum(x[interior], y[interior])
         out[interior] = np.clip(val, lo_b, hi_b)
     return out
+
+
+def gamma_rho_vec_fixed_cost(rho, x, y):
+    """`gamma_rho_vec` as it was before its fixed cost per call was cut: it
+    always broadcast, compared x with y, clipped with `np.clip` and patched
+    the edge lanes in with two `where`s."""
+    rho, x, y = np.broadcast_arrays(
+        np.asarray(rho, dtype=float), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    lo = np.maximum(0.0, x + y - 1.0)
+    hi = np.minimum(x, y) + 0.0
+    edge = (x <= 0.0) | (y <= 0.0) | (x >= 1.0) | (y >= 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = ndtri(x)
+        val = np.clip(_bvn(h, h if np.array_equal(x, y) else ndtri(y), rho), lo, hi)
+    return np.where(edge | (rho >= 1.0), hi, np.where(rho <= -1.0, lo, val))
 
 
 def bvn_two_t(h, k, rho):

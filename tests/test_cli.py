@@ -10,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from gadget_oracles import local_search_oracle
 
 from ccmax import __version__
 from ccmax.cli import MAX_CURVE_POINTS, build_parser, main
 from ccmax.curves import extremal_rho
-from ccmax.gadget import format_ug, random_ug
+from ccmax.gadget import format_ug, parse_graph, random_ug
 from ccmax.gaussian import gamma_rho
 from ccmax.instance import CCInstance, Constraint, Xor, format_instance, random_instance
 
@@ -322,6 +323,25 @@ class TestGadgetPipeline:
         out = capsys.readouterr().out
         assert "ug_value 1" in out
         assert "set_weight 0.4" in out
+
+    @pytest.mark.parametrize("q, rho", [("0.365", "extremal"), ("0.5", "-0.5")])
+    def test_density_search_prints_the_unscreened_search(self, tmp_path, capsys, q, rho):
+        ug_path, graph_path = tmp_path / "g.ug", tmp_path / "g.graph"
+        ug_path.write_text(format_ug(random_ug(3, 3, 5, 2, seed=17)[0]), encoding="utf-8")
+        assert main(["gadget", "--ug", str(ug_path), "--q", q, "--rho", rho,
+                     "--out", str(graph_path)]) == 0
+        capsys.readouterr()
+        assert main(["density", "--graph", str(graph_path), "--mode", "search",
+                     "--eps", "0.01", "--rho", "extremal"]) == 0
+        graph = parse_graph(graph_path.read_text(encoding="utf-8"))
+        want = []
+        for s in local_search_oracle(graph, [0.25, 0.5, 0.75]).samples:
+            threshold = gamma_rho(extremal_rho(s.r), s.r, s.r) - 0.01
+            verdict = "DENSE" if s.min_density_found >= threshold else "SPARSE"
+            want.append(f"r={s.r:.12g} min_density={s.min_density_found:.12g} "
+                        f"method=local_search candidates={s.n_candidates} "
+                        f"threshold={threshold:.12g} {verdict}")
+        assert capsys.readouterr().out == "".join(line + "\n" for line in want)
 
     def test_readme_gadget_example(self, ug_file, tmp_path, monkeypatch, capsys):
         # every command of the README's command block runs as written, on the

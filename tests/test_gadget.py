@@ -169,11 +169,15 @@ def small_graphs(draw) -> WeightedGraph:
 @st.composite
 def search_graphs(draw) -> WeightedGraph:
     """Loops, zero and 1e-14-scale edge weights; vertex weights on a grid whose
-    sums land on the window edges r +- tol_r up to rounding."""
+    sums land on the window edges r +- tol_r up to rounding.  Some graphs have
+    only loops, and the vertices past the last one an edge may touch are isolated."""
     n = draw(st.integers(1, 10))
+    touched = draw(st.integers(1, n))
+    loops = st.just(True) if draw(st.integers(0, 3)) == 0 else st.booleans()
     unit = draw(st.sampled_from([0.05, 1 / 16, 0.1, 1 / 3]))
     scale = draw(st.sampled_from([1.0, 1e-14]))
-    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans(),
+    ends = st.integers(0, touched - 1)
+    edges = draw(st.lists(st.tuples(ends, ends, loops,
                                     st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0)),
                           max_size=3 * n))
     ends = [(a, a if loop else b, w * scale) for a, b, loop, w in edges]
@@ -182,6 +186,16 @@ def search_graphs(draw) -> WeightedGraph:
         vertex_weights=np.array(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))) * unit,
         edge_a=np.array(a, dtype=np.int64), edge_b=np.array(b, dtype=np.int64),
         edge_w=np.array(w, dtype=float))
+
+
+@st.composite
+def search_gadgets(draw) -> WeightedGraph:
+    """Gadgets at (1/2, -1/2), whose vertex weights are all equal, so flips land on
+    the window edges (exactly over one or two right vertices, up to rounding over
+    three), and at (0.365, extremal)."""
+    shape = draw(st.sampled_from([(1, 1, 2, 1), (2, 2, 3, 2), (2, 1, 4, 1), (3, 3, 4, 2)]))
+    q, rho = draw(st.sampled_from([(0.5, -0.5), (0.365, extremal_rho(0.365))]))
+    return build_gadget(random_ug(*shape, seed=draw(st.integers(0, 20)))[0], q, rho)
 
 
 class TestNu:
@@ -477,7 +491,7 @@ class TestDensityProfile:
                         [1e-13, 0.0, 630.5, 0.0, 0.0, 284.3, 711.997, 468.7, 0.0, 681.7, 343.1,
                          854.32105]),
              [0.4], None, 7)
-    @given(search_graphs(),
+    @given(search_graphs() | search_gadgets(),
            st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 1.0]), min_size=1,
                     max_size=3),
            st.sampled_from([None, 1e-9, 0.05]), st.integers(0, 50))
@@ -487,27 +501,43 @@ class TestDensityProfile:
         assert got == want
 
     def test_local_search_sums_exactly_only_fills_and_kept_flips(self, monkeypatch):
-        ug, _ = random_ug(3, 3, 6, 2, seed=17)
-        g = build_gadget(ug, 0.365, extremal_rho(0.365))
-        rs = [0.25, 0.5, 0.75]
-        want = local_search_oracle(g, rs)
-        calls = []
+        calls, window_sums = [], []
         internal_weight = WeightedGraph.internal_weight
+        subset_weight = WeightedGraph.subset_weight
 
         def recorded(self, mask):
             value = internal_weight(self, mask)
             calls.append((np.array(mask), value))
             return value
 
-        monkeypatch.setattr(WeightedGraph, "internal_weight", recorded)
-        prof = density_profile(g, rs, mode="local_search")
-        assert prof == want
-        fills = sum(s.n_candidates for s in prof.samples)
-        # a kept flip changes one vertex of the set summed before it and lowers the sum
-        kept = sum(1 for (m0, w0), (m1, w1) in zip(calls, calls[1:])
-                   if np.count_nonzero(m0 != m1) == 1 and w1 < w0 - 1e-15)
-        assert fills == 3 * DENSITY_RESTARTS and kept > 0
-        assert len(calls) == fills + kept
+        def counted(self, mask):
+            window_sums.append(1)
+            return subset_weight(self, mask)
+
+        ug, _ = random_ug(3, 3, 6, 2, seed=17)
+        rs = [0.25, 0.5, 0.75]
+        for q, rho in [(0.365, extremal_rho(0.365)), (0.5, -0.5)]:
+            g = build_gadget(ug, q, rho)
+            want = local_search_oracle(g, rs)
+            calls.clear()
+            window_sums.clear()
+            with monkeypatch.context() as m:
+                m.setattr(WeightedGraph, "internal_weight", recorded)
+                m.setattr(WeightedGraph, "subset_weight", counted)
+                prof = density_profile(g, rs, mode="local_search")
+            assert prof == want
+            fills = sum(s.n_candidates for s in prof.samples)
+            # a kept flip changes one vertex of the set summed before it and lowers the sum
+            kept = sum(1 for (m0, w0), (m1, w1) in zip(calls, calls[1:])
+                       if np.count_nonzero(m0 != m1) == 1 and w1 < w0 - 1e-15)
+            assert fills == 3 * DENSITY_RESTARTS
+            assert len(calls) == fills + kept
+            if q == 0.5:
+                # no flip is kept, and each flip the band leaves undecided takes the exact
+                # window sum: one more subset weight past the one per fill
+                assert kept == 0 and len(window_sums) > fills
+            else:
+                assert kept > 0
 
     @pytest.mark.parametrize("r", [-1.0, -1e-300, 1.5, 1.0 + 1e-15, math.inf,
                                    -math.inf, math.nan])

@@ -379,6 +379,32 @@ class TestGammaRho:
             assert (got.shape, got.dtype) == (want.shape, want.dtype)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @settings(max_examples=300, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(-1.0, 1.0) | st.sampled_from(EDGE_RHOS + [math.nan]),
+                              st.floats(0.0, 1.0) | st.sampled_from(EDGE_LEVELS + [0.5]),
+                              st.floats(0.0, 1.0) | st.sampled_from(EDGE_LEVELS + [0.5])),
+                    min_size=1, max_size=12))
+    def test_matches_fixed_cost_oracle_bit_for_bit(self, triples):
+        rho, x, y = np.array(triples).T
+        cases = [
+            (rho, x, y),                                 # equal shapes: no broadcast
+            (rho, x, x),                                 # x is y
+            (rho, x, x.copy()),                          # equal values, two arrays
+            (float(rho[0]), float(x[0]), float(y[0])),   # scalars
+            (float(rho[0]), x[0], x[0]),                 # one numpy scalar as x and y
+            (rho[:, None], x[None, :], y[None, :]),      # broadcast
+            (rho[:, None], x, x),                        # broadcast, x is y
+            (rho, x[:1], y),                             # one level against a row
+        ]
+        for args in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = gamma_rho_vec(*args)
+                want = oracles.gamma_rho_vec_fixed_cost(*args)
+            assert type(got) is type(want)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     @pytest.mark.parametrize("rho, x, y", list(GAMMA_HARD))
     def test_hard_points_against_mpmath(self, rho, x, y):
         # plus 2 eps for Phi^{-1}'s few ulps in h and k and the literal's rounding

@@ -473,22 +473,22 @@ class TestRoundBestOfMatchesOracle:
         # a huge --rounds holds one block of repaired rows, not one row per round
         monkeypatch.setattr(rounding, "ROUND_BLOCK", 3)
         scored, in_repair = [], []
-        real_evaluate_many, real_repair = rounding.evaluate_many, rounding.repair
+        real_evaluate_many, real_repair = rounding.evaluate_many, rounding._repair
 
         def evaluate_many(inst, rows):
             if not in_repair:  # repair's exact path scores its own flip sets
                 scored.append(len(rows))
             return real_evaluate_many(inst, rows)
 
-        def repair(raw, inst, target_k):
+        def repair(a, inst, gap):  # the repair step that round_best_of runs
             in_repair.append(True)
             try:
-                return real_repair(raw, inst, target_k)
+                return real_repair(a, inst, gap)
             finally:
                 in_repair.pop()
 
         monkeypatch.setattr(rounding, "evaluate_many", evaluate_many)
-        monkeypatch.setattr(rounding, "repair", repair)
+        monkeypatch.setattr(rounding, "_repair", repair)
         rng = np.random.default_rng(8)
         inst = random_instance(9, 4, 20, problem="2sat", seed=8)
         sol = unit_row_solution(rng.uniform(-0.9, 0.9, 9).tolist(), 4, rng)
