@@ -43,21 +43,36 @@ All functions are pure and accept floats; `*_vec` variants accept numpy
 arrays (broadcasting) for the hot loops in the curve and rounding code.
 `stream(seed, index)` is the package's one seeded generator;
 `stream_uniforms` draws the uniforms of many of its streams at once.
+
+scipy.special is imported at the first Phi, Phi^{-1} or Gamma call,
+through the cached `_special()`, and not with this module: the import
+costs about 0.2 s, which `ccmax gadget`, `completeness`, `brute`, `sdp`,
+`density` without `--rho`, `verify --suite graph-invariants`, `--help`
+and every usage or input error never pay.  Loading it rebinds no
+attribute of this module.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc as _erfc, ndtri, owens_t
 
 from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _INV_2PI = 1.0 / (2.0 * math.pi)
+
+
+@functools.cache
+def _special():
+    """scipy.special, imported at the first Phi, Phi^{-1} or Gamma call."""
+    import scipy.special
+
+    return scipy.special
 
 
 def std_normal_pdf(x: float) -> float:
@@ -76,7 +91,7 @@ def std_normal_cdf(x: float) -> float:
 
 def std_normal_cdf_vec(x: np.ndarray) -> np.ndarray:
     """Elementwise Phi over an array."""
-    return 0.5 * _erfc(np.asarray(x, dtype=float) / -_SQRT2)
+    return 0.5 * _special().erfc(np.asarray(x, dtype=float) / -_SQRT2)
 
 
 def std_normal_inv_vec(p: np.ndarray) -> np.ndarray:
@@ -85,7 +100,7 @@ def std_normal_inv_vec(p: np.ndarray) -> np.ndarray:
     bad = ~((p > 0.0) & (p < 1.0))  # NaN fails both comparisons
     if np.any(bad):
         raise DomainError(f"std_normal_inv requires 0 < p < 1, got {p[bad][0]!r}")
-    return ndtri(p)
+    return _special().ndtri(p)
 
 
 def std_normal_inv(p: float) -> float:
@@ -140,6 +155,8 @@ def _bvn(h, k, rho):
     docstring).  Lanes with h or k = 0 divide by zero on the way to their
     limit, so callers run it with divide and invalid errors ignored.
     """
+    sc = _special()
+    erfc, owens_t = sc.erfc, sc.owens_t
     s = np.sqrt((1.0 - rho) * (1.0 + rho))
     # k - rho h as (k - h) + (1 - rho) h for rho >= 0 and (k + h) - (1 + rho) h below:
     # 1 -+ rho is exact near |rho| = 1, where rounding rho h would cost eps / s
@@ -151,10 +168,10 @@ def _bvn(h, k, rho):
         return np.where(h == 0.0, 0.25 * np.sign(num), owens_t(h, num / (h * s)))
 
     if k is h:
-        val = 0.5 * _erfc(h / -_SQRT2) - 2.0 * t(h, h)
+        val = 0.5 * erfc(h / -_SQRT2) - 2.0 * t(h, h)
     else:
         beta = np.where((h * k < 0.0) | ((h * k == 0.0) & (h + k < 0.0)), 0.5, 0.0)
-        val = 0.25 * (_erfc(h / -_SQRT2) + _erfc(k / -_SQRT2)) - (t(h, k) + t(k, h)) - beta
+        val = 0.25 * (erfc(h / -_SQRT2) + erfc(k / -_SQRT2)) - (t(h, k) + t(k, h)) - beta
     return np.where((h == 0.0) & (k == 0.0), 0.25 + _INV_2PI * np.arcsin(rho), val)
 
 
@@ -184,6 +201,7 @@ def gamma_rho_vec(rho, x, y):
     to_lo = rho <= -1.0
     # edge and |rho| = 1 lanes go unread; in `_bvn`, h or k = 0 takes its limit
     with np.errstate(divide="ignore", invalid="ignore"):
+        ndtri = _special().ndtri
         h = ndtri(x)
         val = _bvn(h, h if diagonal or np.array_equal(x, y) else ndtri(y), rho)
     # np.clip(val, lo, hi) to the bit, NaN included

@@ -194,9 +194,12 @@ class SDPProblem:
         size = self.n + 1
         M = np.empty((size, size))
         m = M.reshape(-1)
-        row0, col0 = M[0, 1:], M[1:, 0]
         M_obj, scatter_idx = self.M_obj, self.scatter_idx
         balanced = self.balance_target is not None
+        # M_obj plus the balance term, which rewrites only row 0 and column 0
+        base = M_obj.copy() if balanced else M_obj
+        b = base.reshape(-1)
+        obj_row0, row0, col0 = M_obj[0, 1:], base[0, 1:], base[1:, 0]
         pairs = len(self.tri)
         scaled = np.empty((pairs, 4))
         form = np.empty((pairs, 3))
@@ -205,15 +208,14 @@ class SDPProblem:
         add, multiply = np.add, np.multiply
 
         def assemble(lam: float, sigma: float, h: float, viol: np.ndarray) -> np.ndarray:
-            np.copyto(M, M_obj)
             if balanced:
-                add(row0, (lam + sigma * h) / 2, out=row0)
+                add(obj_row0, (lam + sigma * h) / 2, out=row0)
                 np.copyto(col0, row0)  # M_obj is exactly symmetric: both halves add the same terms
             # d/dG of 0.5*sigma*sum v^2 = -sigma * v * dform/dG
             multiply(viol, -sigma, out=scaled)
             scaled.dot(_TRI_SIGNS, out=form)
             multiply(form, 0.5, out=halves)
-            add(m, np.bincount(scatter_idx, weights=weights, minlength=size * size), out=m)
+            add(b, np.bincount(scatter_idx, weights=weights, minlength=size * size), out=m)
             return M
 
         return assemble
@@ -272,7 +274,8 @@ def _normalize_rows(V: np.ndarray, sq: np.ndarray | None = None,
     # np.linalg.norm(V, axis=1, keepdims=True) without its dispatch cost
     norms = np.add.reduce(np.multiply(V, V, out=sq), axis=1, keepdims=True, out=norms)
     np.sqrt(norms, out=norms)
-    norms[norms == 0.0] = 1.0
+    # a zero row divides by the least subnormal and stays zero; a NaN norm stays NaN
+    np.maximum(norms, 5e-324, out=norms)
     return np.divide(V, norms, out=V)
 
 
@@ -356,17 +359,18 @@ def _restart(problem: SDPProblem, opts: SolveOptions, integral_seed: np.ndarray 
     obj, h, viol_max, viol_sq = read(V, viol)
     consider(V, obj, h, viol_max)
     loss = _loss(obj, h, viol_sq, lam, sigma)
-    stale = True  # grad is the projected gradient at (V, viol, lam, sigma) unless stale
+    # grad is half the projected gradient at (V, viol, lam, sigma) unless stale;
+    # the step scales it by 2 eta, which keeps the bits: doubling is exact
+    stale = True
     for it in range(opts.max_iters):
         if stale:
             assemble(lam, sigma, h, viol).dot(V, out=grad)
-            multiply(grad, 2.0, out=grad)
             # project to the tangent of the unit spheres
             add_reduce(multiply(grad, V, out=scratch), axis=1, keepdims=True, out=norms)
             subtract(grad, multiply(norms, V, out=scratch), out=grad)
             stale = False
 
-        subtract(V, multiply(grad, eta, out=scratch), out=V_new)
+        subtract(V, multiply(grad, 2.0 * eta, out=scratch), out=V_new)
         _normalize_rows(V_new, scratch, norms)
         obj_n, h_n, viol_max_n, viol_sq_n = read(V_new, viol_new)
         loss_n = _loss(obj_n, h_n, viol_sq_n, lam, sigma)

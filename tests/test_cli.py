@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import shlex
 import subprocess
@@ -265,6 +266,84 @@ class TestRestartsAcrossProcesses:
             lines = out.splitlines()
             assert lines[0] == b"begin" and len(set(lines)) == len(lines)
         assert spread[2].startswith(b"# ccmax ") and spread[3].startswith(b"# ccmax ")
+
+
+# Runs in a fresh interpreter, in a directory holding the inputs it names.
+# It prints one JSON object: each command's exit code and whether
+# scipy.special was loaded after it, then, around the first Phi call
+# (`gamma`), every ccmax attribute that the call rebound.
+_SCIPY_ON_FIRST_USE = """
+import contextlib, io, json, sys
+import ccmax.cli, ccmax.gadget
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = ccmax.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [argv[0], code, "scipy.special" in sys.modules]
+
+def sites():
+    found = {(name, k): v for name, mod in sorted(sys.modules.items())
+             if mod is not None and (name == "ccmax" or name.startswith("ccmax."))
+             for k, v in vars(mod).items()}
+    found.update({("WeightedGraph", k): v for k, v in vars(ccmax.gadget.WeightedGraph).items()})
+    return found
+
+without_phi = [run(argv) for argv in json.loads(sys.argv[1])]
+before = sites()
+gamma = run(["gamma", "--rho", "-0.5", "--x", "0.3", "--y", "0.4"])
+after = sites()
+rebound = sorted(map(list, {k for k in before.keys() | after.keys()
+                            if k not in before or k not in after or before[k] is not after[k]}))
+print(json.dumps({"without_phi": without_phi, "gamma": gamma, "rebound": rebound}))
+"""
+
+_WITHOUT_PHI = [  # (argv, exit code)
+    (["--help"], 0),
+    (["gamma", "--rho", "0.5"], 2),
+    (["gadget", "--ug", "bad.ug", "--q", "0.4", "--rho", "-0.3", "--out", "bad.graph"], 2),
+    (["gadget", "--ug", "inst.ug", "--q", "0.4", "--rho", "extremal", "--out", "g.graph"], 0),
+    (["completeness", "--ug", "inst.ug", "--labeling", "inst.labeling", "--q", "0.4",
+      "--rho", "-0.3"], 0),
+    (["brute", "--input", "c4.ccmax"], 0),
+    (["sdp", "--input", "c4.ccmax", "--restarts", "1", "--max-iters", "50"], 0),
+    (["density", "--graph", "g.graph", "--mode", "exact"], 0),
+    (["density", "--graph", "g.graph", "--mode", "search"], 0),
+    (["verify", "--suite", "graph-invariants"], 0),
+]
+
+
+class TestScipyLoadsOnFirstUse:
+    @pytest.fixture(scope="class")
+    def report(self, tmp_path_factory) -> dict:
+        work = tmp_path_factory.mktemp("first_use")
+        cons = tuple(Constraint(i, (i + 1) % 4, 1.0, Xor(-1)) for i in range(4))
+        inst = CCInstance(n=4, k=2, constraints=cons, problem="cut")
+        (work / "c4.ccmax").write_text(format_instance(inst), encoding="utf-8")
+        ug, hidden = random_ug(2, 2, 2, 1, seed=3)
+        (work / "inst.ug").write_text(format_ug(ug), encoding="utf-8")
+        lab = ["labeling v1", *(f"u {i + 1} {l + 1}" for i, l in enumerate(hidden.left)),
+               *(f"v {j + 1} {l + 1}" for j, l in enumerate(hidden.right))]
+        (work / "inst.labeling").write_text("\n".join(lab) + "\n", encoding="utf-8")
+        (work / "bad.ug").write_text("ug v1\nleft 1\n", encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run(
+            [sys.executable, "-c", _SCIPY_ON_FIRST_USE,
+             json.dumps([argv for argv, _ in _WITHOUT_PHI])],
+            cwd=work, env=env, capture_output=True, text=True, check=True, timeout=120)
+        assert done.stderr == ""
+        return json.loads(done.stdout)
+
+    def test_commands_that_never_read_phi_leave_scipy_unloaded(self, report):
+        assert report["without_phi"] == [[argv[0], code, False] for argv, code in _WITHOUT_PHI]
+        assert report["gamma"] == ["gamma", 0, True]
+
+    def test_first_phi_call_rebinds_no_ccmax_attribute(self, report):
+        assert not report["without_phi"][-1][2] and report["gamma"][2]  # scipy loads in it
+        assert report["rebound"] == []
 
 
 class TestOneParserPerProcess:
