@@ -56,6 +56,8 @@ MAX_EXACT_DENSITY_VERTICES = 24
 MAX_EDGE_ENTRIES = 5_000_000
 # seeded starts of each local_search density target
 DENSITY_RESTARTS = 10
+# subsets per block of the exact density window
+WINDOW_BLOCK = 1 << 16
 
 
 def _degrees(ends: Iterator[int], n: int) -> set[int]:
@@ -309,29 +311,128 @@ class DensityProfile:
     samples: tuple[DensitySample, ...]
 
 
+def _doubling(steps: Sequence, dtype: type) -> np.ndarray:
+    """out[S] = the steps[k] of the members k of S, added in increasing k.
+
+    out[S + {k}] = out[S] + steps[k] for every S below 1 << k: one add per subset.
+    """
+    out = np.empty(1 << len(steps), dtype)
+    out[0] = 0
+    for k, step in enumerate(steps):
+        np.add(out[:1 << k], step, out=out[1 << k:2 << k])
+    return out
+
+
 def _all_subset_stats(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(subset weight, internal weight) for every vertex subset bitmask."""
-    chunk = 1 << 18  # subsets per block
+    """(subset weight, internal weight) for every vertex subset bitmask.
+
+    Both are doublings over the vertices k = 0 .. n-1.  For every S below 1 << k,
+
+        w(S + {k})          = w(S) + w_k,
+        w(S + {k}, S + {k}) = w(S, S) + row_k(S),
+        row_k(S)            = (..((loop_k + a_{k,j1}) + a_{k,j2}) + ..),
+
+    over the members j1 < j2 < .. of S, where a_{k,j} and loop_k are the
+    summed weights of the edges between k and j and of k's loops
+    (`_neighbours`).  row_k is itself a doubling over j < k, built in the
+    upper half of the output before the one add; a j with no edge to k
+    repeats what is built, since adding 0.0 to a sum of nonnegative
+    weights leaves its bits.  So each subset's two sums are the scalar
+    sums in vertex index order, bit for bit, at O(2^n) adds and no
+    matrix product.
+
+    Rounding (u = 2^-53, gamma_m = m u / (1 - m u)): w(S) adds at most n
+    nonnegative floats in sequence, so it lies within gamma_{n-1} w(S) of
+    the exact sum of its vertex weights.  Each edge weight reaches
+    w(S, S) through at most E - 1 adds in `_neighbours` (E edge entries),
+    k adds in row_k and n - 1 outer adds, so w(S, S) lies within
+    gamma_{E+2n} w(S, S) <= (E + 2n + 1) u T of the exact internal weight
+    of S, T the total edge weight.  Any other summation order has a bound
+    of the same form.
+    """
     n = graph.n_vertices
-    M = np.zeros((n, n))
-    for a, b, w in zip(graph.edge_a, graph.edge_b, graph.edge_w):
-        if a == b:
-            M[a, a] += 2.0 * w
-        else:
-            M[a, b] += w
-            M[b, a] += w
-    weights = graph.vertex_weights
-    total = 1 << n
-    ws = np.empty(total)
-    wss = np.empty(total)
-    bits_template = np.arange(n, dtype=np.uint32)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.uint64)[:, None]
-        B = ((idx >> bits_template) & 1).astype(float)
-        ws[start:stop] = B @ weights
-        wss[start:stop] = 0.5 * np.einsum("ij,ij->i", B @ M, B)
+    ws = _doubling(graph.vertex_weights.tolist(), np.float64)
+    owner, other, a = _neighbours(graph)
+    lower = other <= owner  # each pair once, in its later vertex's row; the loop last
+    owner, other, a = owner[lower], other[lower].tolist(), a[lower].tolist()
+    start = np.searchsorted(owner, np.arange(n + 1)).tolist()
+    wss = np.empty(1 << n)
+    wss[0] = 0.0
+    for k in range(n):
+        top = wss[1 << k:2 << k]
+        row = list(zip(other[start[k]:start[k + 1]], a[start[k]:start[k + 1]]))
+        top[0] = row.pop()[1] if row and row[-1][0] == k else 0.0
+        built = 1
+        for j, akj in row:
+            if built < 1 << j:  # bits below j without an edge to k
+                top[:1 << j].reshape(-1, built)[1:] = top[:built]
+            np.add(top[:1 << j], akj, out=top[1 << j:2 << j])
+            built = 2 << j
+        top.reshape(-1, built)[1:] = top[:built]
+        np.add(wss[:1 << k], top, out=top)
     return ws, wss
+
+
+def _exact_window(graph: WeightedGraph, ws: np.ndarray, wss: np.ndarray,
+                  rs: Sequence[float], tol_r: float) -> list[DensitySample]:
+    """Least internal weight and count over the subsets S with |w(S) - r| <= tol_r,
+    the window decided in exact arithmetic on the given floats.
+
+    e = fl(|fl(ws - r)| - tol_r) is the float test's own quantity (e <= 0 iff
+    abs(ws - r) <= tol_r).  By `_all_subset_stats`' bound and one rounding
+    in each of the two subtractions, e lies within
+
+        (n - 1) u W + 2u (W + r) + u |tol_r| + O(u^2) < (n + 2) eps (W + r + |tol_r|)
+
+    of the exact |w(S) - r| - tol_r (W the total vertex weight, eps = 2u),
+    so outside that band the float test is exact.  A subset inside it is
+    decided by its exact weight, which depends only on how many of its
+    vertices carry each distinct vertex weight: an integer code of those
+    counts comes from the same doubling, and each code is decided once, by
+    the signs of fsum(its weights, -r, -tol_r) and fsum(its weights, -r,
+    +tol_r).  fsum rounds the exact sum once, and rounding keeps the sign.
+    A gadget has at most L + 1 distinct vertex weights.  The window is
+    taken in blocks, so it adds O(block + codes) memory.
+    """
+    weights = graph.vertex_weights.tolist()
+    values = sorted(set(weights))
+    cls = [values.index(w) for w in weights]
+    sizes = [cls.count(c) for c in range(len(values))]
+    radix = [1]  # a subset's code is the sum of count_c * radix[c] over the values c
+    for m in sizes:
+        radix.append(radix[-1] * (m + 1))
+    codes = _doubling([radix[c] for c in cls], np.int32)
+    total = math.fsum(weights)
+    eps = np.finfo(float).eps
+    size = min(ws.size, WINDOW_BLOCK)
+    e, hit, near = np.empty(size), np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    samples = []
+    for r in rs:
+        band = (graph.n_vertices + 2) * eps * (total + r + abs(tol_r))
+        state = None  # per code: 0 undecided, 1 outside the window, 2 inside
+        best, count = math.inf, 0
+        for lo in range(0, ws.size, size):
+            np.subtract(ws[lo:lo + size], r, out=e)
+            np.abs(e, out=e)
+            np.subtract(e, tol_r, out=e)  # e <= 0 iff abs(ws - r) <= tol_r
+            np.less_equal(e, 0.0, out=hit)
+            np.abs(e, out=e)
+            np.less_equal(e, band, out=near)
+            if near.any():
+                at = near.nonzero()[0]
+                code = codes[lo + at]
+                if state is None:
+                    state = np.zeros(radix[-1], dtype=np.int8)
+                for c in set(code[state[code] == 0].tolist()):
+                    terms = [v for v, k, m in zip(values, radix, sizes)
+                             for _ in range(c // k % (m + 1))]
+                    state[c] = 1 + (math.fsum(terms + [-r, -tol_r]) <= 0.0
+                                    <= math.fsum(terms + [-r, tol_r]))
+                hit[at] = state[code] == 2
+            count += int(np.count_nonzero(hit))
+            best = min(best, float(np.where(hit, wss[lo:lo + size], math.inf).min()))
+        samples.append(DensitySample(r, best, "exact", count))
+    return samples
 
 
 def _neighbours(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -359,13 +460,19 @@ def density_profile(
 ) -> DensityProfile:
     """Minimum internal edge weight among subsets near each target weight.
 
-    exact mode enumerates all subsets (guarded at 24 vertices) and is a
-    true minimum over the weight window.  local_search mode is an upper
-    bound only: from each of `DENSITY_RESTARTS` seeded fills (vertices
-    taken in a random order until the weight reaches the window) it
-    sweeps the vertices in index order, keeping each single-vertex flip
-    that stays in the window and lowers the internal weight, and sweeps
-    again until a sweep keeps none.
+    The window is |w(S) - r| <= tol_r (tol_r defaults to the largest vertex
+    weight).  exact mode enumerates all subsets (guarded at 24 vertices)
+    with `_all_subset_stats` and decides the window exactly on the given
+    floats (`_exact_window`), so its count is the exact one.  Its minimum is
+    the least internal weight in that window, each summed in
+    `_all_subset_stats`' fixed vertex order, so it lies within that
+    docstring's bound of the exact minimum.  local_search mode keeps its own
+    float test, abs(`subset_weight` - r) <= tol_r, which its oracle pins bit
+    for bit, and is an upper bound only: from each of `DENSITY_RESTARTS`
+    seeded fills (vertices taken in a random order until the weight reaches
+    the window) it sweeps the vertices in index order, keeping each
+    single-vertex flip that stays in the window and lowers the internal
+    weight, and sweeps again until a sweep keeps none.
 
     A sweep runs in rounds.  A round screens the flips of every vertex
     v >= start at once, at the current set, with array operations:
@@ -398,13 +505,7 @@ def density_profile(
                 f"exact density enumeration refused for {n} vertices "
                 f"(> {MAX_EXACT_DENSITY_VERTICES}); use mode='local_search'")
         ws, wss = _all_subset_stats(graph)
-        samples = []
-        for r in rs:
-            hit = np.abs(ws - r) <= tol_r
-            count = int(np.sum(hit))
-            val = float(np.min(wss[hit])) if count else math.inf
-            samples.append(DensitySample(r, val, "exact", count))
-        return DensityProfile(tuple(samples))
+        return DensityProfile(tuple(_exact_window(graph, ws, wss, rs, tol_r)))
 
     if mode != "local_search":
         raise DomainError(f"unknown mode {mode!r}")

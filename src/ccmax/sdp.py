@@ -35,9 +35,11 @@ tuple.  A step computes one Gram product G = V V^T of the candidate
 into the Gram buffer, reads the objective, balance residual and
 triangle forms off it by index, and costs about 30 numpy calls on
 arrays of (n+1) x dim or #pairs x 4.  The gradient assembles dLoss/dG
-in one working buffer (a copy of `M_obj`, the balance term, and one
-np.bincount scatter of the triangle multipliers) and takes one product
-M V.  It is computed only after an accepted step or a multiplier
+with one `add` into one working buffer: a `base` buffer, which is
+`M_obj` itself without the balance equality and otherwise a copy of it
+whose row 0 and column 0 are rewritten with the balance term, plus one
+np.bincount scatter of the triangle multipliers.  It then takes one
+product M V.  It is computed only after an accepted step or a multiplier
 update: a rejected step leaves the iterate and the multipliers, and so
 the gradient, as they were.  The work per step is O(n^2 dim + #pairs),
 and the solution reports the objective and residuals of its iterate's
@@ -78,11 +80,12 @@ from .instance import CCInstance, as_assignment, greedy_assignment
 STEP = 0.02
 TOL = 1e-6  # feasibility tolerance on the balance residual and each triangle violation
 
-# Bytes the dense (n+1)^2 float64 arrays may take.  A restart holds four at once
-# (M_obj, the Gram buffer, the working M buffer and the np.bincount triangle scatter),
-# greedy_assignment two, before the solve.  relax refuses 5 * 8 * (n+1)^2 > 1 GiB: n > 5180.
-# The bound holds for all processes of one solve together: `_workers` runs as many
-# restarts side by side as hold their four arrays each within it, so n > 4095 runs serially.
+# Bytes the dense (n+1)^2 float64 arrays may take.  A restart holds five at once
+# (M_obj, its copy `base` that carries the balance term, the Gram buffer, the working M
+# buffer and the np.bincount triangle scatter), greedy_assignment two, before the solve.
+# relax refuses 5 * 8 * (n+1)^2 > 1 GiB: n > 5180.  The bound holds for all processes of
+# one solve together: `_workers` runs as many restarts side by side as hold their five
+# arrays each within it, so n > 3662 runs serially.
 MAX_DENSE_BYTES = 1 << 30
 
 # the four triangle forms as sign rows on (mu_i, mu_j, rho_ij)
@@ -308,11 +311,11 @@ def _loss(obj: float, h: float, viol_sq: float, lam: float, sigma: float) -> flo
 def _workers(n: int, restarts: int) -> int:
     """How many processes run one solve's restarts: the least of the restart
     count, the CPUs this process may run on, and the number of workers whose
-    four dense (n+1)^2 arrays each fit in MAX_DENSE_BYTES together; 1 where
+    five dense (n+1)^2 arrays each fit in MAX_DENSE_BYTES together; 1 where
     the platform has no `os.fork` or `os.sched_getaffinity`."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    per_worker = 4 * 8 * (n + 1) ** 2
+    per_worker = 5 * 8 * (n + 1) ** 2
     return max(1, min(restarts, len(os.sched_getaffinity(0)), MAX_DENSE_BYTES // per_worker))
 
 

@@ -6,6 +6,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,10 +18,17 @@ from format_oracles import (
     parse_ug_oracle,
     same_graph,
 )
-from gadget_oracles import local_search_oracle, w_between
+from gadget_oracles import (
+    blas_subset_stats,
+    fraction_window,
+    local_search_oracle,
+    sequential_subset_stats,
+    w_between,
+)
 from mutations import cut_short, decorated, one_token_replaced
 
 from ccmax.curves import extremal_rho
+from ccmax import gadget
 from ccmax.errors import CcmaxError, DomainError, FormatError, SizeGuardError
 from ccmax.gadget import (
     DENSITY_RESTARTS,
@@ -558,6 +566,87 @@ class TestDensityProfile:
             density_profile(g, [], mode="exact")
         with pytest.raises(DomainError):
             density_profile(g, [0.5], mode="simulated_annealing")
+
+
+@st.composite
+def window_graphs(draw) -> WeightedGraph:
+    """Vertex weights such as 0.1, 0.2 and 0.3, whose sums fall on either side of a
+    window edge depending on the summation order, and a few edges."""
+    n = draw(st.integers(1, 9))
+    weights = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.05, 1 / 3, 0.7, 1 / 24])
+    ends = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ends, ends, st.floats(0.0, 1.0)), max_size=2 * n))
+    a, b, w = (list(col) for col in zip(*edges)) if edges else ([], [], [])
+    return WeightedGraph(vertex_weights=np.array(draw(st.lists(weights, min_size=n, max_size=n))),
+                         edge_a=np.array(a, dtype=np.int64), edge_b=np.array(b, dtype=np.int64),
+                         edge_w=np.array(w, dtype=float))
+
+
+class TestExactDensity:
+    """The doubling kernel and the exactly decided window of `density_profile(mode="exact")`."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(search_graphs() | window_graphs() | st.sampled_from(
+        [build_gadget(random_ug(1, 1, 3, 1, seed=s)[0], q, rho)
+         for s in (0, 1) for q, rho in [(0.5, -0.5), (0.365, extremal_rho(0.365))]]))
+    def test_kernel_equals_sequential_sums_bit_for_bit(self, g):
+        for got, want in zip(gadget._all_subset_stats(g), sequential_subset_stats(g)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("shape, seed", [((2, 2, 3, 2), 17001), ((2, 1, 4, 1), 17002),
+                                             ((1, 1, 4, 1), 6)])
+    @pytest.mark.parametrize("q, rho", [(0.5, -0.5), (0.365, extremal_rho(0.365))])
+    def test_kernel_within_its_rounding_bound_of_the_blas_sums(self, shape, seed, q, rho):
+        g = build_gadget(random_ug(*shape, seed=200_000 + seed)[0], q, rho)
+        ws, wss = gadget._all_subset_stats(g)
+        old_ws, old_wss = blas_subset_stats(g)
+        n, n_edges, u = g.n_vertices, g.edge_w.size, np.finfo(float).eps / 2
+        # both sums lie within gamma_m of the exact one (m = n for w(S), E + 2n for
+        # w(S, S)), so within twice that of each other; gamma_m < (m + 1) u here
+        assert np.all(np.abs(ws - old_ws) <= 2 * (n + 1) * u * np.maximum(ws, old_ws))
+        assert np.all(np.abs(wss - old_wss)
+                      <= 2 * (n_edges + 2 * n + 1) * u * np.maximum(wss, old_wss))
+        if q != 0.5:  # at (1/2, -1/2) every weight is dyadic and each sum exact
+            assert np.max(np.abs(wss - old_wss)) > 0  # the orders do differ
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    # 0.1 + 0.2 exceeds 0.3 by 2.8e-17 exactly and by 5.6e-17 in floats
+    @example(WeightedGraph(np.array([0.1, 0.2, 0.3]), np.array([0, 1]), np.array([1, 2]),
+                           np.array([0.5, 0.25])), [0.3], 4e-17, 1 << 16)
+    @example(WeightedGraph(np.array([0.1, 0.2, 0.3, 0.1, 0.2]), np.zeros(0, dtype=np.int64),
+                           np.zeros(0, dtype=np.int64), np.zeros(0)), [0.3, 0.6], 0.3, 2)
+    @given(window_graphs() | search_graphs(),
+           st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 1.0]), min_size=1,
+                    max_size=3),
+           st.sampled_from([None, 0.0, 4e-17, 1e-9, 0.1, 0.3]),
+           st.sampled_from([1, 4, 1 << 16]))
+    def test_window_equals_the_fraction_window(self, g, rs, tol_r, block):
+        with mock.patch.object(gadget, "WINDOW_BLOCK", block):
+            prof = density_profile(g, rs, mode="exact", tol_r=tol_r)
+        _, wss = sequential_subset_stats(g)
+        tol = float(np.max(g.vertex_weights)) if tol_r is None else tol_r
+        for s in prof.samples:
+            hit = fraction_window(g, s.r, tol)
+            assert s.n_candidates == np.count_nonzero(hit)
+            assert s.min_density_found == (wss[hit].min() if hit.any() else math.inf)
+
+    def test_counts_the_exact_window_of_a_benchmark_gadget(self):
+        # summed in BLAS order, 112 of these subsets fell outside (41230)
+        g = build_gadget(random_ug(2, 2, 3, 2, seed=217_001)[0], 0.365, extremal_rho(0.365))
+        prof = density_profile(g, [0.25, 0.5, 0.75], mode="exact")
+        assert [s.n_candidates for s in prof.samples] == [12696, 41342, 12696]
+
+    def test_takes_no_matrix_of_subsets(self):
+        g = build_gadget(random_ug(2, 2, 3, 2, seed=217_001)[0], 0.5, -0.5)
+        tracemalloc.start()
+        try:
+            density_profile(g, [0.25, 0.5, 0.75], mode="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two float sums and one int32 code per subset, two float and two bool buffers
+        # per subset of a block; a 0/1 matrix of the subsets alone would take 8 MiB
+        assert peak < 20 * (1 << 16) + 18 * gadget.WINDOW_BLOCK + (1 << 20)
 
 
 class TestDeriveInstance:

@@ -388,12 +388,12 @@ class TestRestartsInProcesses:
         assert solve(p, SolveOptions(3, 350, 17)).converged
 
     def test_worker_count(self, monkeypatch):
-        # one per restart and per CPU, and four dense (n+1)^2 arrays per worker
+        # one per restart and per CPU, and five dense (n+1)^2 arrays per worker
         # within MAX_DENSE_BYTES; _workers allocates nothing
         monkeypatch.setattr(os, "sched_getaffinity", affinity(8))
         assert [_workers(60, r) for r in (1, 2, 3, 20)] == [1, 2, 3, 8]
-        assert (_workers(4095, 3), _workers(4096, 3), _workers(5180, 3)) == (2, 1, 1)
-        assert 2 * 4 * 8 * 4096**2 <= MAX_DENSE_BYTES < 2 * 4 * 8 * 4097**2
+        assert (_workers(3662, 3), _workers(3663, 3), _workers(5180, 3)) == (2, 1, 1)
+        assert 2 * 5 * 8 * 3663**2 <= MAX_DENSE_BYTES < 2 * 5 * 8 * 3664**2
         monkeypatch.setattr(os, "sched_getaffinity", affinity(2))
         assert (_workers(60, 3), _workers(5180, 3)) == (2, 1)
         monkeypatch.delattr(os, "fork")
