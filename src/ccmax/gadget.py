@@ -332,14 +332,13 @@ def _all_subset_stats(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
         w(S + {k}, S + {k}) = w(S, S) + row_k(S),
         row_k(S)            = (..((loop_k + a_{k,j1}) + a_{k,j2}) + ..),
 
-    over the members j1 < j2 < .. of S, where a_{k,j} and loop_k are the
-    summed weights of the edges between k and j and of k's loops
-    (`_neighbours`).  row_k is itself a doubling over j < k, built in the
-    upper half of the output before the one add; a j with no edge to k
-    repeats what is built, since adding 0.0 to a sum of nonnegative
-    weights leaves its bits.  So each subset's two sums are the scalar
-    sums in vertex index order, bit for bit, at O(2^n) adds and no
-    matrix product.
+    over the members j1 < j2 < .. of S, where loop_k = a_{k,k} and a_{k,j}
+    are the summed weights of k's loops and of the edges between k and j,
+    in a dense table filled from `_neighbours`.  row_k is itself a doubling
+    over every j < k, built in the upper half of the output before the one
+    add; a j with no edge to k adds 0.0, which leaves a sum of nonnegative
+    weights as it is.  So each subset's two sums are the scalar sums in
+    vertex index order, bit for bit, at O(2^n) adds and no matrix product.
 
     Rounding (u = 2^-53, gamma_m = m u / (1 - m u)): w(S) adds at most n
     nonnegative floats in sequence, so it lies within gamma_{n-1} w(S) of
@@ -352,23 +351,16 @@ def _all_subset_stats(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     """
     n = graph.n_vertices
     ws = _doubling(graph.vertex_weights.tolist(), np.float64)
-    owner, other, a = _neighbours(graph)
-    lower = other <= owner  # each pair once, in its later vertex's row; the loop last
-    owner, other, a = owner[lower], other[lower].tolist(), a[lower].tolist()
-    start = np.searchsorted(owner, np.arange(n + 1)).tolist()
+    owner, other, w = _neighbours(graph)
+    a = np.zeros((n, n))
+    a[owner, other] = w
     wss = np.empty(1 << n)
     wss[0] = 0.0
-    for k in range(n):
+    for k, row in enumerate(a.tolist()):
         top = wss[1 << k:2 << k]
-        row = list(zip(other[start[k]:start[k + 1]], a[start[k]:start[k + 1]]))
-        top[0] = row.pop()[1] if row and row[-1][0] == k else 0.0
-        built = 1
-        for j, akj in row:
-            if built < 1 << j:  # bits below j without an edge to k
-                top[:1 << j].reshape(-1, built)[1:] = top[:built]
-            np.add(top[:1 << j], akj, out=top[1 << j:2 << j])
-            built = 2 << j
-        top.reshape(-1, built)[1:] = top[:built]
+        top[0] = row[k]
+        for j in range(k):
+            np.add(top[:1 << j], row[j], out=top[1 << j:2 << j])
         np.add(wss[:1 << k], top, out=top)
     return ws, wss
 
@@ -440,7 +432,9 @@ def _neighbours(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     Returns (vertex, neighbour, weight) rows sorted by vertex, then by
     neighbour; a loop counts once, in its vertex's row.  Parallel edges
-    are summed in edge order.
+    are summed in edge order, those listed from the row's vertex first.  The
+    exact kernel, the density local search and the tests' sequential oracle
+    read their per-pair sums from here.
     """
     n = graph.n_vertices
     loop = graph.edge_a == graph.edge_b

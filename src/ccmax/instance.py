@@ -47,6 +47,7 @@ from .errors import DomainError, FormatError, SizeGuardError
 from .gaussian import stream
 
 BRUTE_FORCE_MAX_VARS = 28
+_BRUTE_FORCE_BATCH = 16384  # k-subsets scored per `evaluate_many` call
 
 OR_PATTERNS = ((-1, -1, -1), (1, -1, 1), (-1, 1, 1), (1, 1, -1))
 
@@ -236,10 +237,10 @@ def evaluate_many(inst: CCInstance, rows: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=1)[:, -1]
 
 
-def brute_force_opt(inst: CCInstance, batch: int = 16384) -> tuple[np.ndarray, float]:
+def brute_force_opt(inst: CCInstance) -> tuple[np.ndarray, float]:
     """Exact optimum over all C(n, k) feasible assignments.
 
-    Enumerates k-subsets in batches of `batch` rows, which only bounds
+    Enumerates k-subsets in batches of `_BRUTE_FORCE_BATCH` rows, which only bounds
     memory: a row's value does not depend on its batch.  Among
     bitwise-equal values the lexicographically smallest value vector
     wins (-1 sorts before +1): the last maximum met, as combinations come
@@ -252,7 +253,7 @@ def brute_force_opt(inst: CCInstance, batch: int = 16384) -> tuple[np.ndarray, f
     best_row: np.ndarray | None = None
     combos = itertools.combinations(range(inst.n), inst.k)
     while True:
-        chunk = list(itertools.islice(combos, batch))
+        chunk = list(itertools.islice(combos, _BRUTE_FORCE_BATCH))
         if not chunk:
             break
         idx = np.array(chunk, dtype=np.int64).reshape(len(chunk), inst.k)

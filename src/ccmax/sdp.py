@@ -80,13 +80,17 @@ from .instance import CCInstance, as_assignment, greedy_assignment
 STEP = 0.02
 TOL = 1e-6  # feasibility tolerance on the balance residual and each triangle violation
 
-# Bytes the dense (n+1)^2 float64 arrays may take.  A restart holds five at once
-# (M_obj, its copy `base` that carries the balance term, the Gram buffer, the working M
-# buffer and the np.bincount triangle scatter), greedy_assignment two, before the solve.
-# relax refuses 5 * 8 * (n+1)^2 > 1 GiB: n > 5180.  The bound holds for all processes of
-# one solve together: `_workers` runs as many restarts side by side as hold their five
-# arrays each within it, so n > 3662 runs serially.
+# Bytes the dense arrays of one solve may take, over all its processes (greedy_assignment's
+# two come before it): relax refuses `_restart_bytes(n)` above it, n > 5180, and `_workers`
+# runs side by side as many restarts as fit in it, so n > 3662 runs serially.
 MAX_DENSE_BYTES = 1 << 30
+
+
+def _restart_bytes(n: int) -> int:
+    """Bytes of the five dense (n+1)^2 float64 arrays a restart holds at once: M_obj, `base`
+    (M_obj plus the balance term), the Gram buffer, the working M and the triangle scatter."""
+    return 5 * 8 * (n + 1) ** 2
+
 
 # the four triangle forms as sign rows on (mu_i, mu_j, rho_ij)
 _TRI_SIGNS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
@@ -252,7 +256,7 @@ def relax(inst: CCInstance) -> SDPProblem:
     The pairs come from the constraints, not the form, which drops zero
     terms: a pair whose constraints all weigh zero keeps its triangles.
     """
-    dense = 5 * 8 * (inst.n + 1) ** 2
+    dense = _restart_bytes(inst.n)
     if dense > MAX_DENSE_BYTES:
         raise SizeGuardError(f"relaxation refused: n={inst.n} needs 5 dense (n+1)^2 "
                              f"arrays, {dense} bytes (> {MAX_DENSE_BYTES})")
@@ -311,12 +315,11 @@ def _loss(obj: float, h: float, viol_sq: float, lam: float, sigma: float) -> flo
 def _workers(n: int, restarts: int) -> int:
     """How many processes run one solve's restarts: the least of the restart
     count, the CPUs this process may run on, and the number of workers whose
-    five dense (n+1)^2 arrays each fit in MAX_DENSE_BYTES together; 1 where
+    `_restart_bytes(n)` each fit in MAX_DENSE_BYTES together; 1 where
     the platform has no `os.fork` or `os.sched_getaffinity`."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    per_worker = 5 * 8 * (n + 1) ** 2
-    return max(1, min(restarts, len(os.sched_getaffinity(0)), MAX_DENSE_BYTES // per_worker))
+    return max(1, min(restarts, len(os.sched_getaffinity(0)), MAX_DENSE_BYTES // _restart_bytes(n)))
 
 
 def _restart(problem: SDPProblem, opts: SolveOptions, integral_seed: np.ndarray | None,

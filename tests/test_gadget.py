@@ -589,6 +589,11 @@ class TestExactDensity:
     @given(search_graphs() | window_graphs() | st.sampled_from(
         [build_gadget(random_ug(1, 1, 3, 1, seed=s)[0], q, rho)
          for s in (0, 1) for q, rho in [(0.5, -0.5), (0.365, extremal_rho(0.365))]]))
+    # parallel 1-0 and 0-1 edges among others: row 1 sums (0.2 + 0.1) + 0.3 =
+    # 0.6000000000000001 for the pair, row 0 (0.3 + 0.2) + 0.1 = 0.6, so the kernel
+    # must read a[k, j] from the later vertex's row; 3 has a loop, 2 no lower neighbour
+    @example(WeightedGraph(np.array([0.1, 0.2, 0.3, 0.4]), np.array([1, 2, 0, 3, 1, 3]),
+                           np.array([0, 3, 1, 3, 0, 1]), np.array([0.2, 0.5, 0.3, 0.3, 0.1, 0.2])))
     def test_kernel_equals_sequential_sums_bit_for_bit(self, g):
         for got, want in zip(gadget._all_subset_stats(g), sequential_subset_stats(g)):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from instance_oracles import (
 )
 from mutations import cut_short, decorated, one_token_replaced
 
+from ccmax import instance
 from ccmax.errors import CcmaxError, DomainError, FormatError, SizeGuardError
 from ccmax.instance import (
     _PROBLEM_KINDS,
@@ -320,7 +322,8 @@ class TestBruteForce:
             problem=data.draw(st.sampled_from(("cut", "2lin", "2sat", "kvc"))),
             seed=data.draw(st.integers(0, 2**16)), weighted=False)
         batch = data.draw(st.sampled_from([1, 2, 3, 7, 16384]))
-        a, val = brute_force_opt(inst, batch=batch)
+        with mock.patch.object(instance, "_BRUTE_FORCE_BATCH", batch):
+            a, val = brute_force_opt(inst)
         b, oracle_val = brute_force_oracle(inst, batch)
         assert val == oracle_val
         assert np.array_equal(a, b)
@@ -333,8 +336,10 @@ class TestBruteForce:
 
     def test_batch_boundaries(self):
         inst = cycle_cut_instance(8, 4)
-        _, v1 = brute_force_opt(inst, batch=7)
-        _, v2 = brute_force_opt(inst, batch=10000)
+        with mock.patch.object(instance, "_BRUTE_FORCE_BATCH", 7):
+            _, v1 = brute_force_opt(inst)
+        with mock.patch.object(instance, "_BRUTE_FORCE_BATCH", 10000):
+            _, v2 = brute_force_opt(inst)
         assert v1 == v2 == 8.0
 
 
