@@ -9,6 +9,8 @@ Submodules:
     sdp       -- vector relaxation builder and low-rank solver
     rounding  -- threshold hyperplane rounding with cardinality repair
     gadget    -- unique-games gadget graphs, completeness sets, density
+    verify    -- invariant suites behind the `verify` subcommand
+    errors    -- the exception hierarchy shared across the package
     cli       -- command line entry point
 """
 

@@ -37,9 +37,10 @@ the block as lanes;
 `full_conf_alpha_cut` runs its line searches and its coordinate-descent
 starts as lanes; `find_local_min_q` is one lane.
 
-`full_conf_alpha_cut` solves the underlying three-variable problem: the
-minimum over all configurations (mu1, mu2, rho) satisfying the four
-triangle inequalities of the cut ratio (1 - `pair_product_vec`) / (1 - rho).
+`full_conf_alpha_cut` searches the underlying three-variable problem: the
+cut ratio (1 - `pair_product_vec`) / (1 - rho) over all configurations
+(mu1, mu2, rho) satisfying the four triangle inequalities.  It returns the
+least value its search finds, which nothing certifies as the global minimum.
 The diagonal restriction mu1 = mu2 = mu, rho = -1 + 2|mu| reproduces
 alpha_cut under q = (1 - mu)/2.
 
@@ -420,13 +421,14 @@ def _descend(f: Callable, m1, m2, r) -> tuple[np.ndarray, ...]:
 
 
 def full_conf_alpha_cut(grid_density: int = 40) -> FullConfResult:
-    """Global minimum of the cut rounding ratio over the full polytope.
+    """Least cut rounding ratio found over the full polytope.
 
     Multi-start grid scan plus coordinate descent (golden section along
     each coordinate's feasible segment, until a sweep gains less than
     1e-9), and a line search along the rho-boundary diagonal; the starts
     and the two diagonal signs run as lanes.  Returns the best
-    configuration found and its value.
+    configuration found and its value.  The value bounds the minimum over
+    the polytope from above; nothing certifies it as the global minimum.
     """
     if grid_density < 20:
         raise DomainError(f"grid_density must be >= 20, got {grid_density}")

@@ -149,10 +149,6 @@ class CCInstance:
             raise DomainError("total constraint weight must be positive")
 
     @property
-    def q(self) -> float:
-        return self.k / self.n
-
-    @property
     def balance(self) -> float:
         """Sum of +-1 values of any feasible assignment: 2k - n."""
         return float(2 * self.k - self.n)

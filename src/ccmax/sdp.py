@@ -49,31 +49,38 @@ The restarts of one solve run side by side.  With w workers, one per
 restart and per CPU the process may run on (`os.sched_getaffinity`),
 capped so that their dense arrays together fit in `MAX_DENSE_BYTES`,
 worker j runs restarts r = j (mod w): worker 0 is the calling process,
-the others are `os.fork`ed children that pickle their offers back
-through a pipe and leave by `os._exit`.  `solve` then picks among the
-offers in restart order, as a serial loop would.  A restart reads only
-the problem, the options, the seed assignment and `stream(seed, r)`, and
-runs the same float operations on the same operands in any process, so
-the solution's bits do not depend on w; w = 1, and any platform without
-`fork`, runs the same `_restart` calls in one loop.
+the others are fork-context `multiprocessing` children that send their
+offers back through a one-way pipe.  An offer is a restart's
+`SDPSolution` with its selection key, and `solve` returns the solution
+of the greatest key, the earliest restart among equal keys, as a serial
+loop would.  A restart reads only the problem, the options, the seed
+assignment and `stream(seed, r)`, and runs the same float operations on
+the same operands in any process, so the solution's bits do not depend
+on w.  w = 1, on any platform without `fork` and in a daemonic
+`multiprocessing` worker (which may not start children), runs the same
+`_restart` calls in one loop; only a solve with a second worker imports
+`multiprocessing`.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import pickle
-import signal
+import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import BinaryIO, Callable, NamedTuple, NoReturn
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, SizeGuardError
 from .gaussian import stream
 from .instance import CCInstance, as_assignment, greedy_assignment
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
 
 # first gradient step of every restart; it grows 5% after each accepted step
 # and halves after each rejected one
@@ -244,8 +251,8 @@ class SolveOptions:
     seed: int = 0
 
 
-# (key, restart, V, obj, h, viol_max, converged): one restart's offer to `solve`
-_Offer = tuple[tuple[bool, float], int, np.ndarray, float, float, float, bool]
+# (key, solution): one restart's offer; `solve` returns the solution of the greatest key
+_Offer = tuple[tuple[bool, float], SDPSolution]
 
 
 def relax(inst: CCInstance) -> SDPProblem:
@@ -315,18 +322,23 @@ def _loss(obj: float, h: float, viol_sq: float, lam: float, sigma: float) -> flo
 def _workers(n: int, restarts: int) -> int:
     """How many processes run one solve's restarts: the least of the restart
     count, the CPUs this process may run on, and the number of workers whose
-    `_restart_bytes(n)` each fit in MAX_DENSE_BYTES together; 1 where
-    the platform has no `os.fork` or `os.sched_getaffinity`."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    `_restart_bytes(n)` each fit in MAX_DENSE_BYTES together; 1 where the
+    platform has no `os.fork` or `os.sched_getaffinity`, and in a daemonic
+    `multiprocessing` worker, such as a `Pool` worker, which may not start
+    children."""
+    mp = sys.modules.get("multiprocessing")  # a process that never loaded it is no such worker
+    if (not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
+            or mp is not None and mp.current_process().daemon):
         return 1
     return max(1, min(restarts, len(os.sched_getaffinity(0)), MAX_DENSE_BYTES // _restart_bytes(n)))
 
 
 def _restart(problem: SDPProblem, opts: SolveOptions, integral_seed: np.ndarray | None,
              r: int) -> _Offer:
-    """Run restart r from `stream(opts.seed, r)` and return its offer: the best
-    iterate it met whose balance residual and triangle violations are all
-    within TOL, else its last one, with `solve`'s selection key."""
+    """Run restart r from `stream(opts.seed, r)` and return its offer: the
+    solution at the best iterate it met whose balance residual and triangle
+    violations are all within TOL, else at its last one, with `solve`'s
+    selection key."""
     n, dim = problem.n, problem.dim
     read, assemble = problem._pieces_kernel(), problem._dloss_kernel()
     multiply, subtract, add_reduce = np.multiply, np.subtract, np.add.reduce
@@ -414,31 +426,25 @@ def _restart(problem: SDPProblem, opts: SolveOptions, integral_seed: np.ndarray 
         prev_loss = loss
 
     consider(V, obj, h, viol_max)
-    offer = snap or (V, obj, h, viol_max)
-    key = (True, offer[1]) if snap else (False, -(abs(h) + viol_max))
-    return (key, r, *offer, converged)
+    key = (True, snap[1]) if snap else (False, -(abs(h) + viol_max))
+    V, obj, h, viol_max = snap or (V, obj, h, viol_max)
+    residuals = {"balance": abs(h), "triangle_max_violation": viol_max,
+                 "unit_norm_max_deviation": float(np.max(np.abs(np.linalg.norm(V, axis=1) - 1.0)))}
+    return key, SDPSolution(vectors=V, objective_value=obj, residuals=residuals,
+                            converged=converged, restart_index=r)
 
 
-def _child(share: Callable[[int], list[_Offer]], j: int, wfd: int) -> NoReturn:
-    """Body of forked worker j: pickle (True, share(j)) or (False, the exception
-    it raised) into the pipe `wfd`, then leave by `os._exit`, which runs no exit
-    handler and flushes no stdio buffer inherited from the parent."""
-    status = 1
+def _child(share: Callable[[int], list[_Offer]], j: int, writer: Connection) -> None:
+    """Body of worker j: send (True, share(j)) through `writer`, or (False, the
+    exception it raised), which the parent raises again."""
     try:
-        try:
-            payload: tuple[bool, object] = (True, share(j))
-        except BaseException as exc:  # the parent raises it again
-            payload = (False, exc)
-        try:
-            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:  # an exception that does not pickle
-            data = pickle.dumps((False, RuntimeError(f"restart worker failed: {payload[1]!r} "
-                                                     f"({exc!r})")))
-        with os.fdopen(wfd, "wb") as fh:
-            fh.write(data)
-        status = 0
-    finally:
-        os._exit(status)
+        payload: tuple[bool, object] = (True, share(j))
+    except BaseException as exc:
+        payload = (False, exc)
+    try:
+        writer.send(payload)
+    except Exception as exc:  # an exception that does not pickle
+        writer.send((False, RuntimeError(f"restart worker failed: {payload[1]!r} ({exc!r})")))
 
 
 def _offers(problem: SDPProblem, opts: SolveOptions,
@@ -446,10 +452,11 @@ def _offers(problem: SDPProblem, opts: SolveOptions,
     """The offers of restarts 0 .. restarts - 1, in restart order.
 
     Worker j of `_workers(...)` runs the restarts r = j (mod workers).
-    Worker 0 is this process; every other is a forked child that sends its
-    offers, or the exception it raised, back pickled through a pipe.  The
-    parent reads each pipe to its end and reaps each child; if anything
-    raises before that, it kills and reaps every child it has not reaped.
+    Worker 0 is this process; every other is a fork-context `multiprocessing`
+    child that sends its offers, or the exception it raised, back through a
+    one-way pipe.  The parent receives from each child and joins it in turn;
+    if anything raises before that, it kills and joins every child it started.
+    Every child and pipe is closed before this returns or raises.
     """
     workers = _workers(problem.n, opts.restarts)
 
@@ -459,39 +466,39 @@ def _offers(problem: SDPProblem, opts: SolveOptions,
 
     if workers == 1:
         return share(0)
-    children: list[int] = []  # pids not yet reaped, in worker order
-    readers: list[BinaryIO] = []  # the read end of each child's pipe
+    import multiprocessing
+    fork = multiprocessing.get_context("fork")
+    children: list[BaseProcess] = []  # started, in worker order
+    readers: list[Connection] = []  # the read end of each child's pipe
     try:
         for j in range(1, workers):
-            rfd, wfd = os.pipe()
-            readers.append(os.fdopen(rfd, "rb"))
+            reader, writer = fork.Pipe(duplex=False)
+            readers.append(reader)
             try:
-                pid = os.fork()
-                if pid == 0:
-                    _child(share, j, wfd)
+                child = fork.Process(target=_child, args=(share, j, writer))
+                child.start()
             finally:
-                os.close(wfd)  # the parent's copy; the child leaves by os._exit
-            children.append(pid)
+                writer.close()  # the parent's copy: a child that sends nothing reads as EOF
+            children.append(child)
         shares = [share(0)]
-        for reader in readers:
-            data = reader.read()
-            reader.close()
-            pid = children[0]
-            _, status = os.waitpid(pid, 0)
-            del children[0]
-            if not data:
-                raise RuntimeError(f"restart worker {pid} ended with wait status {status} "
-                                   "and sent nothing")
-            ok, value = pickle.loads(data)
+        for child, reader in zip(children, readers):
+            try:
+                ok, value = reader.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"restart worker {child.pid} ended with exit code "
+                                   f"{child.exitcode} and sent nothing") from None
+            child.join()
             if not ok:
                 raise value
             shares.append(value)
     finally:
+        for child in children:
+            child.kill()  # does nothing to a child already joined
+            child.join()
+            child.close()
         for reader in readers:
             reader.close()
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
     return [shares[r % workers][r // workers] for r in range(opts.restarts)]
 
 
@@ -523,23 +530,7 @@ def solve(
     if integral_seed is not None:
         integral_seed = as_assignment(integral_seed, problem.n)
 
-    best: _Offer | None = None
-    for offer in _offers(problem, opts, integral_seed):
-        if best is None or offer[0] > best[0]:
-            best = offer
-
-    _, r, V, obj, h, viol_max, converged = best
-    return SDPSolution(
-        vectors=V,
-        objective_value=obj,
-        residuals={
-            "balance": abs(h),
-            "triangle_max_violation": viol_max,
-            "unit_norm_max_deviation": float(np.max(np.abs(np.linalg.norm(V, axis=1) - 1.0))),
-        },
-        converged=converged,
-        restart_index=r,
-    )
+    return max(_offers(problem, opts, integral_seed), key=lambda offer: offer[0])[1]
 
 
 def solve_instance(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from gadget_oracles import local_search_oracle
 
-from ccmax import __version__
+from ccmax import __version__, verify
 from ccmax.cli import MAX_CURVE_POINTS, build_parser, main
 from ccmax.curves import extremal_rho
 from ccmax.gadget import format_ug, parse_graph, random_ug
@@ -270,8 +270,8 @@ class TestRestartsAcrossProcesses:
 
 # Runs in a fresh interpreter, in a directory holding the inputs it names.
 # It prints one JSON object: each command's exit code and whether
-# scipy.special was loaded after it, then, around the first Phi call
-# (`gamma`), every ccmax attribute that the call rebound.
+# scipy.special and multiprocessing were loaded after it, then, around the
+# first Phi call (`gamma`), every ccmax attribute that the call rebound.
 _SCIPY_ON_FIRST_USE = """
 import contextlib, io, json, sys
 import ccmax.cli, ccmax.gadget
@@ -282,7 +282,7 @@ def run(argv):
             code = ccmax.cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    return [argv[0], code, "scipy.special" in sys.modules]
+    return [argv[0], code, "scipy.special" in sys.modules, "multiprocessing" in sys.modules]
 
 def sites():
     found = {(name, k): v for name, mod in sorted(sys.modules.items())
@@ -338,8 +338,10 @@ class TestScipyLoadsOnFirstUse:
         return json.loads(done.stdout)
 
     def test_commands_that_never_read_phi_leave_scipy_unloaded(self, report):
-        assert report["without_phi"] == [[argv[0], code, False] for argv, code in _WITHOUT_PHI]
-        assert report["gamma"] == ["gamma", 0, True]
+        # and none of them runs a second restart worker, so none loads multiprocessing
+        assert report["without_phi"] == [[argv[0], code, False, False]
+                                         for argv, code in _WITHOUT_PHI]
+        assert report["gamma"] == ["gamma", 0, True, False]
 
     def test_first_phi_call_rebinds_no_ccmax_attribute(self, report):
         assert not report["without_phi"][-1][2] and report["gamma"][2]  # scipy loads in it
@@ -587,6 +589,10 @@ class TestRefusedInputs:
          "'vars' given 2 times"),
         ("gadget", "ug v1\nleft 1\nright 1\nleft 1\nlabels 1\ndegree 1\ne 1 1 1\n",
          "'left' given 2 times"),
+        ("gadget", "ug v1\nleft 1\nright 1\nlabels 1\ndegree 2\ne 1 1 1\n",
+         "declared degree 2 but edges imply 1"),
+        ("gadget", "ug v1\nleft 0\nright 1\nlabels 1\ndegree 1\ne 1 1 1\n",
+         "unique games instance needs nonempty sides and labels"),
         ("completeness", "labeling v1\nu 1 1\nu 1 2\nv 1 1\n",
          "'u' ids must be exactly 1..1, each once"),
         ("density", "graph v1\nvertex 1 0.5\nvertex 1 0.25\nedge 1 1 1\n",
@@ -648,3 +654,16 @@ class TestVerifyCommand:
         lines = capsys.readouterr().out.splitlines()
         assert [ln.split()[1] for ln in lines] == [f"{suite}.{row}" for row in VERIFY_ROWS[suite]]
         assert all(ln.startswith("PASS ") for ln in lines)
+
+    def test_a_failing_row_exits_4(self, monkeypatch, capsys):
+        monkeypatch.setitem(verify.SUITES, "gamma", lambda seed: [
+            verify.CheckRow("gamma", "holds", 0.5, 1.0), verify.CheckRow("gamma", "fails", 2.0, 1.0)])
+        assert main(["verify", "--suite", "gamma"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ("PASS gamma.holds measured=0.5 bound=1\n"
+                       "FAIL gamma.fails measured=2 bound=1\n")
+        assert err == "1 invariant(s) failed\n"
+
+    def test_an_unknown_suite_is_a_key_error(self):
+        with pytest.raises(KeyError, match="nope"):
+            verify.run_suite("nope")

@@ -438,6 +438,10 @@ class TestCompleteness:
         g = build_gadget(ug, 0.4, -0.3)
         with pytest.raises(DomainError):
             completeness_set(ug, Labeling(left=hidden.left, right=(0,)), g)
+        with pytest.raises(DomainError, match="label 2 out of range for vertex 1"):
+            completeness_set(ug, Labeling(left=hidden.left, right=(0, 2)), g)
+        with pytest.raises(DomainError, match="labeling size mismatch"):
+            ug_value(ug, Labeling(left=hidden.left[:1], right=hidden.right))
 
 
 class TestDensityProfile:
@@ -898,6 +902,17 @@ class TestFileFormats:
         with pytest.raises(DomainError):
             WeightedGraph(np.zeros(0), np.zeros(0, dtype=np.int64),
                           np.zeros(0, dtype=np.int64), np.zeros(0))
+
+    @pytest.mark.parametrize("a, b, w, message", [
+        ([0], [0, 1], [1.0], "edge arrays must have equal length"),
+        ([0, 1], [0, 1], [1.0], "edge arrays must have equal length"),
+        ([0], [2], [1.0], "edge endpoint out of range"),
+        ([2], [0], [1.0], "edge endpoint out of range"),
+        ([-1], [0], [1.0], "edge endpoint out of range"),
+    ])
+    def test_graph_refuses_malformed_edge_arrays(self, a, b, w, message):
+        with pytest.raises(DomainError, match=message):
+            WeightedGraph(np.full(2, 0.5), np.array(a), np.array(b), np.array(w))
 
     @pytest.mark.parametrize("text", [
         "graph v1\nvertex 1 nan\nedge 1 1 1\n",

@@ -510,6 +510,16 @@ c 2 3 0.25 x-
         with pytest.raises(FormatError, match="weights must be nonnegative, got -2.0"):
             parse_instance("ccmax v1\nproblem cut\nvars 2\ncard 1\nc 1 2 -2.0 x-\n")
 
+    @pytest.mark.parametrize("n, cons, message", [
+        (0, (), "need at least one variable, got n=0"),
+        (2, (Constraint(0, 2, 1.0, Xor(-1)),), r"constraint \(0, 2\) references missing variable"),
+        (2, (Constraint(2, 0, 1.0, Xor(-1)),), r"constraint \(2, 0\) references missing variable"),
+        (2, (Constraint(-1, 0, 1.0, Xor(-1)),), r"constraint \(-1, 0\) references missing"),
+    ])
+    def test_refuses_no_variables_and_missing_variables(self, n, cons, message):
+        with pytest.raises(DomainError, match=message):
+            CCInstance(n=n, k=0, constraints=cons, problem="cut")
+
     def test_problem_kind_validation(self):
         with pytest.raises(DomainError):
             CCInstance(n=2, k=1, constraints=(Constraint(0, 1, 1.0, Or((-1, -1, -1))),),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
@@ -300,6 +301,18 @@ class TestSolve:
         with pytest.raises(DomainError):
             solve(p, SolveOptions(restarts=0))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("obj_q", lambda q: np.append(q[:-1], 5), "objective index outside 0..4"),
+        ("obj_p", lambda p: np.append(-1, p[1:]), "objective index outside 0..4"),
+        ("balance_target", lambda _: 4.5, r"balance target 4.5 outside \[-n, n\]"),
+        ("balance_target", lambda _: -5.0, r"balance target -5.0 outside \[-n, n\]"),
+    ])
+    def test_problem_refuses_what_lies_outside_n(self, field, value, message):
+        p = relax(cycle(4, 2))
+        replace(p, balance_target=4.0)  # |target| = n is allowed
+        with pytest.raises(DomainError, match=message):
+            replace(p, **{field: value(getattr(p, field))})
+
 
 def solution_bits(sol: SDPSolution) -> tuple:
     """Every field of a solution, floats as their bits."""
@@ -355,6 +368,11 @@ def assert_no_child_left():
 
 def open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
+
+
+def pool_solve(p, opts) -> tuple:
+    """`solution_bits` of a solve, for a `multiprocessing.Pool` worker to run."""
+    return solution_bits(solve(p, opts))
 
 
 class TestRestartsInProcesses:
@@ -465,7 +483,7 @@ class TestRestartsInProcesses:
         def vanishing(problem, opts, integral_seed, r):
             if os.getpid() != parent:
                 os._exit(3)
-            return (True, 0.0), r, np.zeros((1, 1)), 0.0, 0.0, 0.0, True
+            return (True, 0.0), SDPSolution(np.zeros((1, 1)), 0.0, {}, True, r)
 
         monkeypatch.setattr(sdp, "_restart", vanishing)
         monkeypatch.setattr(os, "sched_getaffinity", affinity(2))
@@ -488,6 +506,25 @@ class TestRestartsInProcesses:
         monkeypatch.setattr(os, "sched_getaffinity", affinity(2))
         with pytest.raises(RuntimeError, match="restart worker failed: .*unpicklable"):
             solve(relax(cycle(5, 2)), SolveOptions(2, 50, 0))
+        assert_no_child_left()
+
+    def test_a_pool_worker_solves_with_the_parents_bits(self, monkeypatch):
+        # a Pool worker is daemonic, and a daemonic process may not start children
+        monkeypatch.setattr(os, "sched_getaffinity", affinity(2))
+        p, opts = relax(random_instance(9, 4, 18, problem="cut", seed=3)), SolveOptions(3, 300, 3)
+        want = solution_bits(solve(p, opts))
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(pool_solve, (p, opts)).get(timeout=120) == want
+            pool.close()
+            pool.join()
+        assert_no_child_left()
+
+    def test_a_daemonic_worker_runs_its_restarts_in_one_loop(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", affinity(8))
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert (_workers(9, 3), pool.apply_async(_workers, (9, 3)).get(timeout=60)) == (3, 1)
+            pool.close()
+            pool.join()
         assert_no_child_left()
 
 
